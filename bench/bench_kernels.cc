@@ -4,7 +4,8 @@
  * claims that backend switching pays — blocked vs naive GEMM,
  * im2col / Winograd vs direct convolution, fused vs unfused
  * conv+bias+relu, and the SIMD kernel tier (scalar vs "@avx2"/"@neon"
- * rows for GEMM, im2col conv, int8 GEMM and int8 depthwise).
+ * rows for GEMM, im2col conv, fused conv, int8 GEMM and int8
+ * depthwise).
  *
  * Tier rows register ONLY when this host's registry has the variant,
  * so a scalar-only machine emits a scalar-only JSON; the snapshot's
@@ -181,24 +182,30 @@ BM_ConvVariant(benchmark::State &state, const std::string &variant)
     }
 }
 
+/**
+ * Fused vs unfused conv+bias+relu, both on the variant the engine
+ * binds: ConvBiasAct's im2col GEMM with its bias+relu epilogue, vs
+ * Conv2d on the same GEMM followed by separate broadcast-add and relu
+ * dispatches (two extra sweeps over the output). @p variant is
+ * "im2col" or its tier form ("im2col@avx2"); scripts/bench_check.py
+ * gates fused >= unfused on the tier rows.
+ */
 void
-BM_FusedConvBiasRelu(benchmark::State &state)
+BM_FusedConvBiasRelu(benchmark::State &state, const std::string &variant)
 {
     int64_t ch = state.range(0);
-    ConvFixture f(OpKind::ConvBiasAct, ch, 16, "", kActRelu);
+    ConvFixture f(OpKind::ConvBiasAct, ch, 16, variant, kActRelu);
     for (auto _ : state) {
-        f.run("");
+        f.run(variant);
         benchmark::DoNotOptimize(f.out.data());
     }
 }
 
 void
-BM_UnfusedConvBiasRelu(benchmark::State &state)
+BM_UnfusedConvBiasRelu(benchmark::State &state, const std::string &variant)
 {
-    // Conv, then separate broadcast-add, then separate relu: three
-    // dispatches and two extra buffer sweeps.
     int64_t ch = state.range(0);
-    ConvFixture f(OpKind::Conv2d, ch, 16, "");
+    ConvFixture f(OpKind::Conv2d, ch, 16, variant);
     Graph g2;
     int ci = g2.input(f.g.node(f.node).shape, "c");
     int bi = g2.param({ch, 1, 1}, "b", false);
@@ -207,7 +214,7 @@ BM_UnfusedConvBiasRelu(benchmark::State &state)
     Tensor mid(f.g.node(f.node).shape);
     Tensor out(f.g.node(f.node).shape);
     for (auto _ : state) {
-        f.run("");
+        f.run(variant);
         KernelCtx a;
         a.node = &g2.node(addn);
         a.in = {f.out.data(), f.bias.data()};
@@ -478,8 +485,12 @@ BM_UnfusedAttention(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * B);
 }
 
-BENCHMARK(BM_FusedConvBiasRelu)->Arg(16)->Arg(32);
-BENCHMARK(BM_UnfusedConvBiasRelu)->Arg(16)->Arg(32);
+BENCHMARK_CAPTURE(BM_FusedConvBiasRelu, im2col, std::string("im2col"))
+    ->Arg(16)
+    ->Arg(32);
+BENCHMARK_CAPTURE(BM_UnfusedConvBiasRelu, im2col, std::string("im2col"))
+    ->Arg(16)
+    ->Arg(32);
 BENCHMARK_CAPTURE(BM_FusedAttention, base, std::string(""))
     ->Arg(4)
     ->Arg(16);
@@ -559,6 +570,18 @@ struct SimdBenchRegistrar {
                 })
                 ->Arg(16)
                 ->Arg(32);
+        if (hasKernelVariant(OpKind::ConvBiasAct, "im2col" + sfx)) {
+            benchmark::RegisterBenchmark(
+                ("BM_FusedConvBiasRelu/im2col" + sfx).c_str(),
+                BM_FusedConvBiasRelu, "im2col" + sfx)
+                ->Arg(16)
+                ->Arg(32);
+            benchmark::RegisterBenchmark(
+                ("BM_UnfusedConvBiasRelu/im2col" + sfx).c_str(),
+                BM_UnfusedConvBiasRelu, "im2col" + sfx)
+                ->Arg(16)
+                ->Arg(32);
+        }
         if (hasKernelVariant(OpKind::QuantMatMul, "int8" + sfx))
             benchmark::RegisterBenchmark(
                 ("BM_QuantMatMul/int8" + sfx).c_str(), BM_QuantMatMul,

@@ -61,8 +61,10 @@ Three file shapes are understood, auto-detected:
   tier row must beat the BM_UnfusedAttention row at the same shape
   arg by >= 1.5x (the serving-bound comparison — the chain has no
   tier variants at decode sizes), the scalar base row must never
-  lose to the chain, and a missing counterpart fails (the claim
-  would be unverifiable).
+  lose to the chain, every fresh BM_FusedConvBiasRelu tier row must
+  be at least as fast as its BM_UnfusedConvBiasRelu counterpart
+  (same variant and shape), and a missing counterpart fails (the
+  claim would be unverifiable).
 
 Usage: bench_check.py BASELINE FRESH [--tolerance 0.25]
                                      [--table4-tolerance 0.05]
@@ -125,6 +127,10 @@ MIN_FUSED_ATTN_SPEEDUP = 1.5
 # not speed — but it strictly eliminates the chain's intermediate
 # sweeps, so it must never LOSE to it.
 MIN_FUSED_ATTN_SCALAR_SPEEDUP = 1.0
+# The fused-conv claim: ConvBiasAct's im2col GEMM applies bias+relu
+# on its accumulators, so on the tier rows it must be at least as fast
+# as Conv2d on the same GEMM followed by separate add and relu passes.
+MIN_FUSED_CONV_SPEEDUP = 1.0
 
 
 def unfused_counterpart(name):
@@ -175,24 +181,35 @@ def check_gbench(base, fresh, tolerance):
             status = "info (multi-thread row, not gated)"
         print(f"  {name}: {old:.3g} -> {new:.3g} ops/s "
               f"({ratio:.2f}x)  {status}")
-    # Fused-vs-unfused attention pairing: gate the ratio WITHIN the
-    # fresh snapshot (host speed cancels). Tier rows carry the 1.5x
-    # serving claim; the scalar base row floors at parity. A fused
-    # row whose unfused counterpart vanished fails — the speedup
-    # claim is unverifiable.
+    # Fused-vs-unfused pairings: gate the ratio WITHIN the fresh
+    # snapshot (host speed cancels). A fused row whose unfused
+    # counterpart vanished fails — its speedup claim is unverifiable.
+    # Attention: tier rows carry the 1.5x serving claim; the scalar
+    # base row floors at parity. Conv+bias+relu: on the tier rows (what
+    # the engine binds) the epilogue-fused GEMM must never lose to the
+    # same GEMM plus separate add and relu dispatches; scalar rows are
+    # reported only.
     for name in sorted(f):
-        if not name.startswith("BM_FusedAttention"):
+        if name.startswith("BM_FusedAttention"):
+            other = unfused_counterpart(name)
+            floor = (MIN_FUSED_ATTN_SPEEDUP if row_tier(name)
+                     else MIN_FUSED_ATTN_SCALAR_SPEEDUP)
+        elif name.startswith("BM_FusedConvBiasRelu"):
+            other = name.replace("BM_Fused", "BM_Unfused", 1)
+            floor = MIN_FUSED_CONV_SPEEDUP if row_tier(name) else None
+        else:
             continue
-        other = unfused_counterpart(name)
         if other not in f:
             print(f"  [FAIL] {name}: unfused counterpart {other} "
-                  f"missing from the fresh run — the fused-attention "
-                  f"speedup claim is unverifiable")
+                  f"missing from the fresh run — the fusion speedup "
+                  f"claim is unverifiable")
             failures += 1
             continue
-        floor = (MIN_FUSED_ATTN_SPEEDUP if row_tier(name)
-                 else MIN_FUSED_ATTN_SCALAR_SPEEDUP)
         speedup = throughput(f[name]) / throughput(f[other])
+        if floor is None:
+            print(f"  {name}: {speedup:.2f}x vs {other}  info "
+                  f"(scalar row, not gated)")
+            continue
         status = "ok"
         if speedup < floor:
             status = "FAIL"

@@ -1,21 +1,33 @@
 /**
  * @file
- * NCHW convolution kernels: naive direct (default), im2col+GEMM
- * ("im2col"), their input/weight backward counterparts, and depthwise
- * variants. Conv2dBwdWeight honors the "limitCo" attribute so
- * sub-layer (channel-sparse) backpropagation computes gradients for
- * only the first k output channels (paper Section 2.6).
+ * NCHW convolution kernels: the naive direct Conv2d (its default),
+ * the conv-family GEMM drivers, and the depthwise kernels.
  *
- * Partitioning: forward kernels split over the flattened (image,
- * output-channel) pairs; the input backward over images (each image's
- * dx is scattered to independently); the weight backward over output
- * channels (each channel's dw rows accumulate over images
- * independently). "im2col" splits over images — every shard unfolds
- * into its own workspace column buffer (one image's column matrix),
- * so the kernel shards like any other instead of being serialized by
- * scratch.
+ * Conv2d "im2col", ConvBiasAct, Conv2dBwdInput and Conv2dBwdWeight
+ * all run one GEMM with a bias+act epilogue (kutil::ConvGemm). The
+ * drivers here own unfolding, tiling and partitioning; the scalar
+ * tier and each SIMD tier (simd_avx2.cc, simd_neon.cc) pass in only
+ * their GEMM microkernel.
+ *
+ *  - Forward: shards are (image, column tile) pairs. A pointwise conv
+ *    (1x1, stride 1, pad 0) reads its input image in place as the
+ *    [ci, h*w] column matrix; a k x k conv unfolds one kConvTile-wide
+ *    tile at a time into the shard's workspace.
+ *  - Input backward: Wᵀ dY_n per image tile, scattered back by col2im
+ *    (a pointwise GEMM writes dx in place). Shards are images.
+ *  - Weight backward: dW += dY_n colᵀ_n over images and tiles in
+ *    ascending order, honoring "limitCo" so sub-layer (channel-sparse)
+ *    backpropagation computes only the first k output channels (paper
+ *    Section 2.6). Shards are output channels.
+ *
+ * The scalar GEMM adds products one at a time in (ci, kh, kw) order
+ * starting from the bias, and padded taps add exact zeros, so forward
+ * and weight-backward results equal the direct loops value for value.
+ * The input backward sums a pixel's taps after the channel reduction,
+ * so k x k results differ from the direct loop by rounding only.
  */
 
+#include <algorithm>
 #include <cstring>
 
 #include "kernels/kernel.h"
@@ -24,29 +36,13 @@
 namespace pe {
 namespace {
 
-struct ConvDims {
-    int64_t n, ci, h, w;      // input
-    int64_t co, kh, kw;       // weight
-    int64_t ho, wo;           // output
-    int64_t stride, pad;
-};
-
-ConvDims
-dimsOf(const Shape &x, const Shape &w, const Shape &y, int64_t stride,
-       int64_t pad)
-{
-    return {x[0], x[1], x[2], x[3], w[0], w[2], w[3], y[2], y[3],
-            stride, pad};
-}
+using kutil::ConvGeom;
 
 void
 conv2dNaive(const KernelCtx &c)
 {
-    const Shape &xs = *c.inShapes[0];
-    const Shape &ws = *c.inShapes[1];
-    ConvDims d = dimsOf(xs, ws, *c.outShape,
-                        c.node->attrs.getInt("stride", 1),
-                        c.node->attrs.getInt("pad", 0));
+    ConvGeom d = kutil::convGeomOf(*c.inShapes[0], *c.inShapes[1],
+                                   *c.outShape, c.node->attrs);
     const float *x = c.in[0], *w = c.in[1];
     int64_t hi = partitionEnd(c, d.n * d.co);
     for (int64_t idx = c.begin; idx < hi; ++idx) {
@@ -76,123 +72,22 @@ conv2dNaive(const KernelCtx &c)
     }
 }
 
-/** im2col + GEMM; the workspace holds one image's column matrix. */
 void
-conv2dIm2col(const KernelCtx &c)
+convGemmK(const KernelCtx &c)
 {
-    const Shape &xs = *c.inShapes[0];
-    const Shape &ws = *c.inShapes[1];
-    ConvDims d = dimsOf(xs, ws, *c.outShape,
-                        c.node->attrs.getInt("stride", 1),
-                        c.node->attrs.getInt("pad", 0));
-    const float *x = c.in[0], *w = c.in[1];
-    int64_t k = d.ci * d.kh * d.kw;
-    int64_t cols = d.ho * d.wo;
-    float *col = c.workspace;
-    for (int64_t n = c.begin; n < partitionEnd(c, d.n); ++n) {
-        const float *xn = x + n * d.ci * d.h * d.w;
-        kutil::im2colUnfold(xn, col, d.ci, d.h, d.w, d.kh, d.kw, d.ho,
-                            d.wo, d.stride, d.pad, 0.0f);
-        // GEMM: out[co, cols] = w[co, k] x col[k, cols].
-        float *out = c.out + n * d.co * cols;
-        for (int64_t co = 0; co < d.co; ++co) {
-            float *dst = out + co * cols;
-            std::memset(dst, 0, sizeof(float) * cols);
-            const float *wrow = w + co * k;
-            for (int64_t kk = 0; kk < k; ++kk) {
-                float wv = wrow[kk];
-                const float *src = col + kk * cols;
-                for (int64_t j = 0; j < cols; ++j)
-                    dst[j] += wv * src[j];
-            }
-        }
-    }
+    kutil::convForward(c, kutil::convGemmScalar);
 }
 
 void
-conv2dBwdInput(const KernelCtx &c)
+convBwdInputK(const KernelCtx &c)
 {
-    const Shape &ws = *c.inShapes[0];
-    const Shape &dys = *c.inShapes[1];
-    const Shape &xs = *c.outShape;
-    ConvDims d = dimsOf(xs, ws, dys, c.node->attrs.getInt("stride", 1),
-                        c.node->attrs.getInt("pad", 0));
-    const float *w = c.in[0], *dy = c.in[1];
-    int64_t lo = c.begin, hi = partitionEnd(c, d.n);
-    int64_t image = d.ci * d.h * d.w;
-    std::memset(c.out + lo * image, 0, sizeof(float) * (hi - lo) * image);
-    for (int64_t n = lo; n < hi; ++n) {
-        for (int64_t co = 0; co < d.co; ++co) {
-            for (int64_t ho = 0; ho < d.ho; ++ho) {
-                for (int64_t wo = 0; wo < d.wo; ++wo) {
-                    float g = dy[((n * d.co + co) * d.ho + ho) * d.wo + wo];
-                    if (g == 0.0f)
-                        continue;
-                    for (int64_t kh = 0; kh < d.kh; ++kh) {
-                        int64_t ih = ho * d.stride - d.pad + kh;
-                        if (ih < 0 || ih >= d.h)
-                            continue;
-                        for (int64_t kw = 0; kw < d.kw; ++kw) {
-                            int64_t iw = wo * d.stride - d.pad + kw;
-                            if (iw < 0 || iw >= d.w)
-                                continue;
-                            for (int64_t ci = 0; ci < d.ci; ++ci) {
-                                c.out[((n * d.ci + ci) * d.h + ih) * d.w +
-                                      iw] +=
-                                    g * w[((co * d.ci + ci) * d.kh + kh) *
-                                              d.kw + kw];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
+    kutil::convBwdInput(c, kutil::convGemmScalar);
 }
 
 void
-conv2dBwdWeight(const KernelCtx &c)
+convBwdWeightK(const KernelCtx &c)
 {
-    const Shape &xs = *c.inShapes[0];
-    const Shape &dys = *c.inShapes[1];
-    Shape ws = c.node->attrs.getInts("wshape");
-    ConvDims d = dimsOf(xs, ws, dys, c.node->attrs.getInt("stride", 1),
-                        c.node->attrs.getInt("pad", 0));
-    int64_t limit = (*c.outShape)[0]; // <= Co under "limitCo"
-    const float *x = c.in[0], *dy = c.in[1];
-    int64_t lo = c.begin, hi = partitionEnd(c, limit);
-    int64_t wrow = d.ci * d.kh * d.kw;
-    std::memset(c.out + lo * wrow, 0, sizeof(float) * (hi - lo) * wrow);
-    // co outermost so shards own disjoint dw rows; per (co, ci, kh,
-    // kw) entry the accumulation still runs in ascending-n order, so
-    // results match the unpartitioned nest bit for bit.
-    for (int64_t co = lo; co < hi; ++co) {
-        for (int64_t n = 0; n < d.n; ++n) {
-            for (int64_t ho = 0; ho < d.ho; ++ho) {
-                for (int64_t wo = 0; wo < d.wo; ++wo) {
-                    float g = dy[((n * d.co + co) * d.ho + ho) * d.wo + wo];
-                    if (g == 0.0f)
-                        continue;
-                    for (int64_t ci = 0; ci < d.ci; ++ci) {
-                        for (int64_t kh = 0; kh < d.kh; ++kh) {
-                            int64_t ih = ho * d.stride - d.pad + kh;
-                            if (ih < 0 || ih >= d.h)
-                                continue;
-                            for (int64_t kw = 0; kw < d.kw; ++kw) {
-                                int64_t iw = wo * d.stride - d.pad + kw;
-                                if (iw < 0 || iw >= d.w)
-                                    continue;
-                                c.out[((co * d.ci + ci) * d.kh + kh) *
-                                          d.kw + kw] +=
-                                    g * x[((n * d.ci + ci) * d.h + ih) *
-                                              d.w + iw];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
+    kutil::convBwdWeight(c, kutil::convGemmScalar);
 }
 
 void
@@ -314,11 +209,301 @@ dwConv2dBwdWeight(const KernelCtx &c)
     }
 }
 
-/** One image's column matrix (kernel_util.h — shared with the SIMD
- *  tier so both declare identical bytes). */
-constexpr auto im2colWorkspace = kutil::im2colConvWorkspace;
+} // namespace
+
+namespace kutil {
+
+namespace {
+
+/**
+ * Visit output pixels [j0, j0 + jn) as runs within one output row:
+ * f(t, i, j, run) covers tile columns [t, t + run), i.e. pixels
+ * (i, j) .. (i, j + run - 1).
+ */
+template <typename F>
+void
+forEachRowRun(const ConvGeom &d, int64_t j0, int64_t jn, F f)
+{
+    int64_t i = j0 / d.wo, j = j0 % d.wo;
+    for (int64_t t = 0; t < jn; j = 0, ++i) {
+        int64_t run = std::min(d.wo - j, jn - t);
+        f(t, i, j, run);
+        t += run;
+    }
+}
+
+/** Unfold output pixels [j0, j0 + jn) of one image into a [k, jn]
+ *  column tile, rows in (ci, kh, kw) order; padded taps read 0. */
+void
+im2colTile(const float *xn, float *col, const ConvGeom &d, int64_t j0,
+           int64_t jn)
+{
+    int64_t r = 0;
+    for (int64_t cc = 0; cc < d.ci; ++cc) {
+        for (int64_t a = 0; a < d.kh; ++a) {
+            for (int64_t b = 0; b < d.kw; ++b, ++r) {
+                float *dst = col + r * jn;
+                forEachRowRun(d, j0, jn, [&](int64_t t, int64_t i,
+                                             int64_t j, int64_t run) {
+                    int64_t ih = i * d.stride - d.pad + a;
+                    if (ih < 0 || ih >= d.h) {
+                        std::fill(dst + t, dst + t + run, 0.0f);
+                        return;
+                    }
+                    const float *xrow = xn + (cc * d.h + ih) * d.w;
+                    for (int64_t u = 0; u < run; ++u) {
+                        int64_t iw = (j + u) * d.stride - d.pad + b;
+                        dst[t + u] = iw >= 0 && iw < d.w ? xrow[iw] : 0.0f;
+                    }
+                });
+            }
+        }
+    }
+}
+
+/** The same tile transposed: [jn, k], one unfolded patch per row. */
+void
+im2colTileT(const float *xn, float *colT, const ConvGeom &d, int64_t j0,
+            int64_t jn)
+{
+    int64_t k = d.k();
+    forEachRowRun(d, j0, jn, [&](int64_t t, int64_t i, int64_t j,
+                                 int64_t run) {
+        for (int64_t u = 0; u < run; ++u) {
+            float *dst = colT + (t + u) * k;
+            for (int64_t cc = 0; cc < d.ci; ++cc) {
+                for (int64_t a = 0; a < d.kh; ++a) {
+                    int64_t ih = i * d.stride - d.pad + a;
+                    for (int64_t b = 0; b < d.kw; ++b) {
+                        int64_t iw = (j + u) * d.stride - d.pad + b;
+                        bool ok =
+                            ih >= 0 && ih < d.h && iw >= 0 && iw < d.w;
+                        *dst++ = ok ? xn[(cc * d.h + ih) * d.w + iw] : 0.0f;
+                    }
+                }
+            }
+        }
+    });
+}
+
+/** Scatter-add a [k, jn] column tile back onto its image (col2im). */
+void
+col2imTileAdd(const float *col, float *dxn, const ConvGeom &d,
+              int64_t j0, int64_t jn)
+{
+    int64_t r = 0;
+    for (int64_t cc = 0; cc < d.ci; ++cc) {
+        for (int64_t a = 0; a < d.kh; ++a) {
+            for (int64_t b = 0; b < d.kw; ++b, ++r) {
+                const float *src = col + r * jn;
+                forEachRowRun(d, j0, jn, [&](int64_t t, int64_t i,
+                                             int64_t j, int64_t run) {
+                    int64_t ih = i * d.stride - d.pad + a;
+                    if (ih < 0 || ih >= d.h)
+                        return;
+                    float *dxrow = dxn + (cc * d.h + ih) * d.w;
+                    for (int64_t u = 0; u < run; ++u) {
+                        int64_t iw = (j + u) * d.stride - d.pad + b;
+                        if (iw >= 0 && iw < d.w)
+                            dxrow[iw] += src[t + u];
+                    }
+                });
+            }
+        }
+    }
+}
+
+/** Geometry from a graph node, per op (workspace sizing). */
+ConvGeom
+nodeGeom(const Graph &g, const Node &n)
+{
+    const Shape &in0 = g.node(n.inputs[0]).shape;
+    const Shape &in1 = g.node(n.inputs[1]).shape;
+    switch (n.op) {
+      case OpKind::Conv2dBwdInput: // W, dY -> dx
+        return convGeomOf(n.shape, in0, in1, n.attrs);
+      case OpKind::Conv2dBwdWeight: // x, dY -> dW
+        return convGeomOf(in0, n.attrs.getInts("wshape"), in1, n.attrs);
+      default: // x, W (, bias) -> y
+        return convGeomOf(in0, in1, n.shape, n.attrs);
+    }
+}
 
 } // namespace
+
+namespace {
+
+/** Rows [r0, r0 + R) of the scalar GEMM: one pass over each B row
+ *  feeds all R output rows, and every element still adds its products
+ *  one at a time in ascending k. */
+template <int R>
+void
+scalarRows(const ConvGemm &g, int64_t r0)
+{
+    float *crow[R];
+    for (int r = 0; r < R; ++r) {
+        crow[r] = g.c + (r0 + r) * g.ldc;
+        if (!g.accumulate)
+            std::fill(crow[r], crow[r] + g.n,
+                      g.bias ? g.bias[r0 + r] : 0.0f);
+    }
+    const float *arow = g.a + r0 * g.ars;
+    for (int64_t kk = 0; kk < g.k; ++kk) {
+        float av[R];
+        for (int r = 0; r < R; ++r)
+            av[r] = arow[r * g.ars + kk * g.acs];
+        const float *brow = g.b + kk * g.ldb;
+        for (int64_t j = 0; j < g.n; ++j) {
+            float bv = brow[j];
+            for (int r = 0; r < R; ++r)
+                crow[r][j] += av[r] * bv;
+        }
+    }
+    if (g.act != kActNone) {
+        for (int r = 0; r < R; ++r)
+            for (int64_t j = 0; j < g.n; ++j)
+                crow[r][j] = actOf(g.act, crow[r][j]);
+    }
+}
+
+} // namespace
+
+void
+convGemmScalar(const ConvGemm &g)
+{
+    int64_t r0 = 0;
+    for (; r0 + 4 <= g.m; r0 += 4)
+        scalarRows<4>(g, r0);
+    for (; r0 < g.m; ++r0)
+        scalarRows<1>(g, r0);
+}
+
+int64_t
+convTiles(const KernelCtx &c)
+{
+    const Shape &y = *c.outShape;
+    return y[0] * ((y[2] * y[3] + kConvTile - 1) / kConvTile);
+}
+
+void
+convForward(const KernelCtx &c, ConvGemmFn gemm)
+{
+    ConvGeom d = convGeomOf(*c.inShapes[0], *c.inShapes[1], *c.outShape,
+                            c.node->attrs);
+    int64_t k = d.k(), cols = d.cols(), tiles = d.tiles();
+    ConvGemm g;
+    g.a = c.in[1]; // W [co, k]
+    g.ars = k;
+    g.acs = 1;
+    g.ldc = cols;
+    g.m = d.co;
+    g.k = k;
+    g.bias = c.node->op == OpKind::ConvBiasAct ? c.in[2] : nullptr;
+    g.act = c.node->attrs.getInt("act", kActNone);
+    int64_t hi = partitionEnd(c, d.n * tiles);
+    for (int64_t idx = c.begin; idx < hi; ++idx) {
+        int64_t n = idx / tiles, j0 = (idx % tiles) * kConvTile;
+        const float *xn = c.in[0] + n * d.ci * d.h * d.w;
+        g.n = std::min(kConvTile, cols - j0);
+        g.c = c.out + n * d.co * cols + j0;
+        if (d.pointwise()) {
+            g.b = xn + j0;
+            g.ldb = cols;
+        } else {
+            im2colTile(xn, c.workspace, d, j0, g.n);
+            g.b = c.workspace;
+            g.ldb = g.n;
+        }
+        gemm(g);
+    }
+}
+
+void
+convBwdInput(const KernelCtx &c, ConvGemmFn gemm)
+{
+    ConvGeom d = convGeomOf(*c.outShape, *c.inShapes[0], *c.inShapes[1],
+                            c.node->attrs);
+    int64_t k = d.k(), cols = d.cols(), image = d.ci * d.h * d.w;
+    int64_t lo = c.begin, hi = partitionEnd(c, d.n);
+    ConvGemm g;
+    g.a = c.in[0]; // W^T: A(r, co) = W[co, r]
+    g.ars = 1;
+    g.acs = k;
+    g.m = k;
+    g.k = d.co;
+    if (!d.pointwise())
+        std::memset(c.out + lo * image, 0,
+                    sizeof(float) * (hi - lo) * image);
+    for (int64_t n = lo; n < hi; ++n) {
+        const float *dyn = c.in[1] + n * d.co * cols;
+        float *dxn = c.out + n * image;
+        g.ldb = cols;
+        for (int64_t j0 = 0; j0 < cols; j0 += kConvTile) {
+            g.n = std::min(kConvTile, cols - j0);
+            g.b = dyn + j0;
+            if (d.pointwise()) {
+                g.c = dxn + j0;
+                g.ldc = cols;
+                gemm(g);
+            } else {
+                g.c = c.workspace;
+                g.ldc = g.n;
+                gemm(g);
+                col2imTileAdd(c.workspace, dxn, d, j0, g.n);
+            }
+        }
+    }
+}
+
+void
+convBwdWeight(const KernelCtx &c, ConvGemmFn gemm)
+{
+    ConvGeom d = convGeomOf(*c.inShapes[0],
+                            c.node->attrs.getInts("wshape"),
+                            *c.inShapes[1], c.node->attrs);
+    int64_t limit = (*c.outShape)[0]; // <= co under "limitCo"
+    int64_t k = d.k(), cols = d.cols();
+    int64_t lo = c.begin, hi = partitionEnd(c, limit);
+    if (hi <= lo)
+        return;
+    std::memset(c.out + lo * k, 0, sizeof(float) * (hi - lo) * k);
+    // Rows [lo, hi) of dW += dY_n[lo:hi, tile] x colT_tile, images and
+    // tiles ascending: every dW entry sums its (n, pixel) terms in the
+    // same order whatever the shard bounds.
+    ConvGemm g;
+    g.ars = cols;
+    g.acs = 1;
+    g.b = c.workspace;
+    g.ldb = k;
+    g.c = c.out + lo * k;
+    g.ldc = k;
+    g.m = hi - lo;
+    g.n = k;
+    g.accumulate = true;
+    for (int64_t n = 0; n < d.n; ++n) {
+        const float *xn = c.in[0] + n * d.ci * d.h * d.w;
+        for (int64_t j0 = 0; j0 < cols; j0 += kConvTile) {
+            g.k = std::min(kConvTile, cols - j0);
+            im2colTileT(xn, c.workspace, d, j0, g.k);
+            g.a = c.in[1] + (n * d.co + lo) * cols + j0;
+            gemm(g);
+        }
+    }
+}
+
+WorkspaceSpec
+convGemmWorkspace(const Graph &g, const Node &n)
+{
+    ConvGeom d = nodeGeom(g, n);
+    // The weight gradient always transposes its tile; the other two
+    // read or write a pointwise image in place.
+    bool inPlace = d.pointwise() && n.op != OpKind::Conv2dBwdWeight;
+    WorkspaceSpec spec;
+    spec.bytesPerShard = inPlace ? 0 : d.k() * d.tile() * 4;
+    return spec;
+}
+
+} // namespace kutil
 
 namespace detail {
 
@@ -326,14 +511,22 @@ void
 registerConvKernels()
 {
     PartitionSpec images{part::outDim01, 1};
+    PartitionSpec tiles{kutil::convTiles, 1};
     PartitionSpec dxImages{part::outDim0, 1};
     PartitionSpec dwChannels{part::outDim0, 1};
     registerKernel(OpKind::Conv2d, "", conv2dNaive, images);
-    registerKernel(OpKind::Conv2d, "im2col", conv2dIm2col, dxImages,
-                   im2colWorkspace);
-    registerKernel(OpKind::Conv2dBwdInput, "", conv2dBwdInput, dxImages);
-    registerKernel(OpKind::Conv2dBwdWeight, "", conv2dBwdWeight,
-                   dwChannels);
+    // One scalar GEMM kernel serves both forward ops: ConvBiasAct's
+    // default and its "im2col" binding are the same code, so a plan
+    // that binds either reaches the SIMD tier the same way.
+    for (OpKind op : {OpKind::Conv2d, OpKind::ConvBiasAct})
+        registerKernel(op, "im2col", convGemmK, tiles,
+                       kutil::convGemmWorkspace);
+    registerKernel(OpKind::ConvBiasAct, "", convGemmK, tiles,
+                   kutil::convGemmWorkspace);
+    registerKernel(OpKind::Conv2dBwdInput, "", convBwdInputK, dxImages,
+                   kutil::convGemmWorkspace);
+    registerKernel(OpKind::Conv2dBwdWeight, "", convBwdWeightK,
+                   dwChannels, kutil::convGemmWorkspace);
     registerKernel(OpKind::DwConv2d, "", dwConv2d, images);
     registerKernel(OpKind::DwConv2dBwdInput, "", dwConv2dBwdInput,
                    images);

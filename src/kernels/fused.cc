@@ -1,89 +1,26 @@
 /**
  * @file
- * Fused kernels created by the operator-fusion pass: Conv+Bias+Act,
- * DwConv+Bias+Act and MatMul+Bias+Act. Fusion removes the
- * intermediate activation buffers and two kernel launches per linear
- * layer (paper Section 3.2, "Operator Fusion"). All three partition
- * the same way as their unfused counterparts: conv forms over the
- * flattened (image, output-channel) pairs, the GEMM form over output
- * rows.
+ * Fused kernels created by the operator-fusion pass: DwConv+Bias+Act
+ * and MatMul+Bias+Act. Fusion removes the intermediate activation
+ * buffers and two kernel launches per linear layer (paper Section
+ * 3.2, "Operator Fusion"). Both partition the same way as their
+ * unfused counterparts: the depthwise form over the flattened (image,
+ * channel) pairs, the GEMM form over output rows.
  *
- * Scratch requirements are declared per kernel via WorkspaceSpec in
- * each kernel's own translation unit (the Winograd ConvBiasAct
- * variant registers its cached-transform workspace in winograd.cc);
- * the direct fused kernels here need none.
+ * Conv+Bias+Act is not here: it is the conv-family GEMM with a
+ * bias+act epilogue (conv2d.cc), so it shares Conv2d's "im2col"
+ * kernel and every SIMD tier of it. Winograd registers its own
+ * ConvBiasAct variant (winograd.cc). The activation math of every
+ * epilogue is kutil::actOf.
  */
 
-#include <cmath>
-#include <cstring>
-
 #include "kernels/kernel.h"
+#include "kernels/kernel_util.h"
 
 namespace pe {
 namespace {
 
-float
-actOf(int64_t act, float v)
-{
-    switch (act) {
-      case kActRelu:
-        return v > 0 ? v : 0.0f;
-      case kActGelu: {
-        constexpr float kC = 0.7978845608028654f;
-        return 0.5f * v *
-               (1.0f + std::tanh(kC * (v + 0.044715f * v * v * v)));
-      }
-      case kActSilu:
-        return v / (1.0f + std::exp(-v));
-      default:
-        return v;
-    }
-}
-
-void
-convBiasActK(const KernelCtx &c)
-{
-    // Reuse the im2col structure inline: direct loops + bias + act.
-    const Shape &xs = *c.inShapes[0];
-    const Shape &ws = *c.inShapes[1];
-    int64_t stride = c.node->attrs.getInt("stride", 1);
-    int64_t pad = c.node->attrs.getInt("pad", 0);
-    int64_t act = c.node->attrs.getInt("act", kActNone);
-    int64_t n = xs[0], ci = xs[1], h = xs[2], w = xs[3];
-    int64_t co = ws[0], kh = ws[2], kw = ws[3];
-    int64_t ho = (*c.outShape)[2], wo = (*c.outShape)[3];
-    const float *bias = c.in[2];
-    int64_t hi = partitionEnd(c, n * co);
-    for (int64_t idx = c.begin; idx < hi; ++idx) {
-        int64_t ni = idx / co, o = idx % co;
-        {
-            float b = bias[o];
-            for (int64_t i = 0; i < ho; ++i) {
-                for (int64_t j = 0; j < wo; ++j) {
-                    float acc = b;
-                    for (int64_t cc = 0; cc < ci; ++cc) {
-                        for (int64_t a = 0; a < kh; ++a) {
-                            int64_t ih = i * stride - pad + a;
-                            if (ih < 0 || ih >= h)
-                                continue;
-                            for (int64_t bb = 0; bb < kw; ++bb) {
-                                int64_t iw = j * stride - pad + bb;
-                                if (iw < 0 || iw >= w)
-                                    continue;
-                                acc += c.in[0][((ni * ci + cc) * h + ih) *
-                                                   w + iw] *
-                                       c.in[1][((o * ci + cc) * kh + a) *
-                                                   kw + bb];
-                            }
-                        }
-                    }
-                    c.out[((ni * co + o) * ho + i) * wo + j] =
-                        actOf(act, acc);
-                }
-            }
-        }
-    }
-}
+using kutil::actOf;
 
 void
 dwConvBiasActK(const KernelCtx &c)
@@ -160,8 +97,6 @@ namespace detail {
 void
 registerFusedKernels()
 {
-    registerKernel(OpKind::ConvBiasAct, "", convBiasActK,
-                   {part::outDim01, 1});
     registerKernel(OpKind::DwConvBiasAct, "", dwConvBiasActK,
                    {part::outDim01, 1});
     registerKernel(OpKind::MatMulBiasAct, "", matmulBiasActK,

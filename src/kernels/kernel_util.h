@@ -2,8 +2,8 @@
  * @file
  * Helpers shared between the scalar kernel TUs and their SIMD tier
  * counterparts (simd_avx2.cc / simd_neon.cc): GEMM operand views,
- * the int8 requantization context, activation math, and the im2col
- * unfold. A SIMD variant must agree with its scalar base on all of
+ * the int8 requantization context, activation math, the im2col
+ * unfold, and the fp32 conv-family GEMM drivers. A SIMD variant must agree with its scalar base on all of
  * this — packing layout, padding values, requantization rounding —
  * for the tier contract (int8 bit-exact, fp32 within tolerance) to
  * hold, so the definitions live in one place.
@@ -11,6 +11,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
@@ -173,6 +174,93 @@ im2colUnfold(const T *xn, T *col, int64_t ci, int64_t h, int64_t w,
     }
 }
 
+// ---- the fp32 conv family as one GEMM -------------------------------
+//
+// Conv2d ("im2col"), ConvBiasAct, Conv2dBwdInput and Conv2dBwdWeight
+// all lower onto one GEMM with a bias+act epilogue. The drivers below
+// (conv2d.cc) own the unfold, tiling and partitioning; each SIMD tier
+// supplies only the GEMM microkernel, so every tier shards, tiles and
+// sizes its workspace identically by construction.
+
+/** Output pixels per column tile. Forward shards are (image, column
+ *  tile) pairs, and a k x k conv unfolds one tile at a time, so the
+ *  per-shard workspace is bounded by ci*kh*kw*kConvTile floats. */
+constexpr int64_t kConvTile = 32;
+
+/** Geometry of one NCHW convolution. */
+struct ConvGeom {
+    int64_t n, ci, h, w;  // input x
+    int64_t co, kh, kw;   // weight
+    int64_t ho, wo;       // output
+    int64_t stride, pad;
+
+    int64_t cols() const { return ho * wo; }
+    int64_t k() const { return ci * kh * kw; }
+    /** Width of one column tile (the last tile may be narrower). */
+    int64_t tile() const { return std::min(cols(), kConvTile); }
+    int64_t tiles() const { return (cols() + kConvTile - 1) / kConvTile; }
+    /** 1x1, stride 1, pad 0: each input image already IS its
+     *  [ci, h*w] column matrix, so the GEMM reads it in place. */
+    bool
+    pointwise() const
+    {
+        return kh == 1 && kw == 1 && stride == 1 && pad == 0;
+    }
+};
+
+inline ConvGeom
+convGeomOf(const Shape &x, const Shape &w, const Shape &y,
+           const Attrs &attrs)
+{
+    return {x[0], x[1], x[2], x[3], w[0], w[2], w[3], y[2], y[3],
+            attrs.getInt("stride", 1), attrs.getInt("pad", 0)};
+}
+
+/**
+ * One GEMM of the conv family, with its epilogue:
+ *
+ *     C[r, j] = act(init[r, j] + sum_kk A(r, kk) * B[kk, j])
+ *
+ * for r < m, j < n, kk ascending. A is addressed through a row and a
+ * column stride, so a weight and its transpose are both views. The
+ * initial value is C itself when @c accumulate is set, else bias[r]
+ * (bias non-null) or zero. The scalar tier adds the products one at a
+ * time in that order; the SIMD tiers fuse each multiply-add.
+ */
+struct ConvGemm {
+    const float *a;
+    int64_t ars, acs; ///< A(r, kk) = a[r * ars + kk * acs]
+    const float *b;
+    int64_t ldb;
+    float *c;
+    int64_t ldc;
+    int64_t m, n, k;
+    const float *bias = nullptr;
+    bool accumulate = false;
+    int64_t act = kActNone;
+};
+
+using ConvGemmFn = void (*)(const ConvGemm &);
+
+/** The scalar tier's GEMM: the reference every tier is tested to. */
+void convGemmScalar(const ConvGemm &g);
+
+/** Conv2d / ConvBiasAct over (image, column tile) shards. */
+void convForward(const KernelCtx &c, ConvGemmFn gemm);
+/** dx_n = col2im(W^T dY_n), sharded over images. */
+void convBwdInput(const KernelCtx &c, ConvGemmFn gemm);
+/** dW += dY_n col_n^T in ascending n, sharded over the (limitCo)
+ *  output channels. */
+void convBwdWeight(const KernelCtx &c, ConvGemmFn gemm);
+
+/** Partition extent of convForward: images x column tiles. */
+int64_t convTiles(const KernelCtx &c);
+
+/** Per-shard workspace of the three drivers: one unfolded column tile
+ *  (ci*kh*kw x tile floats), none where the GEMM reads or writes a
+ *  pointwise image in place. */
+WorkspaceSpec convGemmWorkspace(const Graph &g, const Node &n);
+
 // ---- shared workspace declarations -----------------------------------
 //
 // A SIMD tier variant must declare EXACTLY the workspace of its scalar
@@ -187,17 +275,6 @@ blockedGemmWorkspace(const Graph &, const Node &)
 {
     WorkspaceSpec spec;
     spec.bytesPerShard = kGemmBlock * kGemmBlock * 4;
-    return spec;
-}
-
-/** One image's fp32 column matrix: ci*kh*kw rows by ho*wo columns. */
-inline WorkspaceSpec
-im2colConvWorkspace(const Graph &g, const Node &n)
-{
-    const Shape &w = g.node(n.inputs[1]).shape;
-    int64_t ho = n.shape[2], wo = n.shape[3];
-    WorkspaceSpec spec;
-    spec.bytesPerShard = w[1] * w[2] * w[3] * ho * wo * 4;
     return spec;
 }
 

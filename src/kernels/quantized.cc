@@ -351,6 +351,7 @@ refQuantK(const KernelCtx &c)
     sub.out = fy;
     sub.outShape = c.outShape;
     sub.step = c.step;
+    sub.workspace = fy + ny; // the proxy's own scratch, if any
     lookupKernel(proxy.op, "")(sub);
 
     int8_t *out = reinterpret_cast<int8_t *>(c.out);
@@ -376,6 +377,14 @@ refQuantWorkspace(const Graph &g, const Node &n)
     spec.bytesPerShard = 4 * (numel(g.node(n.inputs[0]).shape) +
                               numel(g.node(n.inputs[1]).shape) +
                               numel(n.shape));
+    // A biased conv runs the fp32 ConvBiasAct GEMM, which unfolds its
+    // column tiles after the staged copies.
+    if (n.op == OpKind::QuantConv2d) {
+        Node proxy = n;
+        proxy.op = OpKind::ConvBiasAct;
+        spec.bytesPerShard +=
+            kernelWorkspace(g, proxy, "").bytesPerShard;
+    }
     return spec;
 }
 

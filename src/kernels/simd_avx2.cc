@@ -1,8 +1,10 @@
 /**
  * @file
- * AVX2/FMA kernel tier: the hot quartet — fp32 panel GEMM, im2col
- * conv inner loop, int8 GEMM with vectorized requantization, and the
- * int8 depthwise conv. Registered as "<base>@avx2" variants of the
+ * AVX2/FMA kernel tier: the fp32 panel GEMM, the fp32 conv-family
+ * GEMM microkernel with its bias+act epilogue (Conv2d "im2col",
+ * ConvBiasAct, and both conv backward ops), the fp32 depthwise
+ * DwConvBiasAct, fused attention, the int8 GEMM with vectorized
+ * requantization, and the int8 conv and depthwise conv. Registered as "<base>@avx2" variants of the
  * scalar kernels, with IDENTICAL partition domains and workspace
  * declarations (kernel_util.h), so the executor can switch tiers at
  * bind time against one memory plan.
@@ -148,43 +150,229 @@ batchMatmulAvx2K(const KernelCtx &c)
     }
 }
 
-// ---- fp32 im2col conv -------------------------------------------------
+// ---- fp32 conv-family GEMM (bias+act epilogue) -----------------------
 
-/** Same unfold + [co, k] x [k, cols] product as the scalar "im2col"
- *  kernel, with the cols loop FMA-vectorized. */
+using kutil::ConvGemm;
+
+constexpr int kMr = 6; ///< register-tile rows (6 x 2 ymm accumulators)
+
+/** All-ones in the first @p n (0..8) lanes. */
+__m256i
+laneMask(int64_t n)
+{
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/**
+ * One R-row x (8*NV)-column register tile of C at (r0, j0). The
+ * accumulators start at C (accumulate), the row's bias, or zero, take
+ * one FMA per k step, and leave through the epilogue: relu is a max
+ * on the registers, gelu/silu run kutil::actOf on the stored tile so
+ * every tier shares one copy of the transcendental math. Masked tiles
+ * cover the column tail without touching memory past it.
+ */
+template <int R, int NV, bool Masked>
 void
-conv2dIm2colAvx2K(const KernelCtx &c)
+convTileAvx2(const ConvGemm &g, int64_t r0, int64_t j0,
+             const __m256i *mask)
+{
+    __m256 acc[R][NV];
+    float *cp = g.c + r0 * g.ldc + j0;
+#pragma GCC unroll 6
+    for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+        for (int v = 0; v < NV; ++v) {
+            float *p = cp + r * g.ldc + 8 * v;
+            if (g.accumulate)
+                acc[r][v] = Masked ? _mm256_maskload_ps(p, mask[v])
+                                   : _mm256_loadu_ps(p);
+            else
+                acc[r][v] =
+                    _mm256_set1_ps(g.bias ? g.bias[r0 + r] : 0.0f);
+        }
+    }
+    const float *ap = g.a + r0 * g.ars;
+    const float *bp = g.b + j0;
+    const int64_t k = g.k, ars = g.ars, acs = g.acs, ldb = g.ldb;
+    for (int64_t kk = 0; kk < k; ++kk, ap += acs, bp += ldb) {
+        __m256 bv[NV];
+#pragma GCC unroll 2
+        for (int v = 0; v < NV; ++v)
+            bv[v] = Masked ? _mm256_maskload_ps(bp + 8 * v, mask[v])
+                           : _mm256_loadu_ps(bp + 8 * v);
+#pragma GCC unroll 6
+        for (int r = 0; r < R; ++r) {
+            __m256 av = _mm256_broadcast_ss(ap + r * ars);
+#pragma GCC unroll 2
+            for (int v = 0; v < NV; ++v)
+                acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
+        }
+    }
+#pragma GCC unroll 6
+    for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+        for (int v = 0; v < NV; ++v) {
+            __m256 o = acc[r][v];
+            // max(NaN, 0) picks 0, as actOf's relu does.
+            if (g.act == kActRelu)
+                o = _mm256_max_ps(o, _mm256_setzero_ps());
+            float *p = cp + r * g.ldc + 8 * v;
+            if (Masked)
+                _mm256_maskstore_ps(p, mask[v], o);
+            else
+                _mm256_storeu_ps(p, o);
+        }
+    }
+    if (g.act != kActNone && g.act != kActRelu) {
+        int64_t jn = std::min<int64_t>(8 * NV, g.n - j0);
+        for (int r = 0; r < R; ++r) {
+            float *p = cp + r * g.ldc;
+            for (int64_t j = 0; j < jn; ++j)
+                p[j] = kutil::actOf(g.act, p[j]);
+        }
+    }
+}
+
+using ConvTileFn = void (*)(const ConvGemm &, int64_t, int64_t,
+                            const __m256i *);
+
+template <int NV, bool Masked>
+ConvTileFn
+convTileFor(int64_t rows)
+{
+    switch (rows) {
+      case 1: return convTileAvx2<1, NV, Masked>;
+      case 2: return convTileAvx2<2, NV, Masked>;
+      case 3: return convTileAvx2<3, NV, Masked>;
+      case 4: return convTileAvx2<4, NV, Masked>;
+      case 5: return convTileAvx2<5, NV, Masked>;
+      default: return convTileAvx2<kMr, NV, Masked>;
+    }
+}
+
+/** The conv-family GEMM: 16-column strips (one masked strip for the
+ *  tail), each swept by 6-row register tiles. Every element's k-order
+ *  is fixed by its position, never by the shard bounds. */
+void
+convGemmAvx2(const ConvGemm &g)
+{
+    for (int64_t j0 = 0; j0 < g.n; j0 += 16) {
+        int64_t jn = std::min<int64_t>(16, g.n - j0);
+        __m256i mask[2] = {laneMask(std::min<int64_t>(jn, 8)),
+                           laneMask(std::max<int64_t>(jn - 8, 0))};
+        ConvTileFn full = jn == 16 ? convTileFor<2, false>(kMr)
+                          : jn > 8 ? convTileFor<2, true>(kMr)
+                          : jn == 8 ? convTileFor<1, false>(kMr)
+                                    : convTileFor<1, true>(kMr);
+        int64_t r0 = 0;
+        for (; r0 + kMr <= g.m; r0 += kMr)
+            full(g, r0, j0, mask);
+        if (r0 < g.m) {
+            int64_t rows = g.m - r0;
+            ConvTileFn tail = jn == 16 ? convTileFor<2, false>(rows)
+                              : jn > 8 ? convTileFor<2, true>(rows)
+                              : jn == 8 ? convTileFor<1, false>(rows)
+                                        : convTileFor<1, true>(rows);
+            tail(g, r0, j0, mask);
+        }
+    }
+}
+
+void
+convGemmAvx2K(const KernelCtx &c)
+{
+    kutil::convForward(c, convGemmAvx2);
+}
+
+void
+convBwdInputAvx2K(const KernelCtx &c)
+{
+    kutil::convBwdInput(c, convGemmAvx2);
+}
+
+void
+convBwdWeightAvx2K(const KernelCtx &c)
+{
+    kutil::convBwdWeight(c, convGemmAvx2);
+}
+
+// ---- fp32 depthwise conv + bias + act ---------------------------------
+
+/**
+ * Same (image, channel) partition as the scalar DwConvBiasAct. Each
+ * output row runs in 8-pixel vectors: a tap's lanes that fall on
+ * padding load exact zeros (masked loads at stride 1, masked gathers
+ * otherwise), so every pixel sums its in-bounds taps in the scalar
+ * (kh, kw) order from the bias, with FMA rounding. The row tail is a
+ * masked store; the epilogue matches the conv GEMM's.
+ */
+void
+dwConvBiasActAvx2K(const KernelCtx &c)
 {
     const Shape &xs = *c.inShapes[0];
     const Shape &ws = *c.inShapes[1];
     int64_t stride = c.node->attrs.getInt("stride", 1);
     int64_t pad = c.node->attrs.getInt("pad", 0);
-    int64_t nI = xs[0], ci = xs[1], h = xs[2], w = xs[3];
-    int64_t co = ws[0], kh = ws[2], kw = ws[3];
+    int64_t act = c.node->attrs.getInt("act", kActNone);
+    int64_t ch = xs[1], h = xs[2], w = xs[3];
+    int64_t kh = ws[2], kw = ws[3];
     int64_t ho = (*c.outShape)[2], wo = (*c.outShape)[3];
-    const float *x = c.in[0], *wt = c.in[1];
-    int64_t k = ci * kh * kw;
-    int64_t cols = ho * wo;
-    float *col = c.workspace;
-    for (int64_t n = c.begin; n < partitionEnd(c, nI); ++n) {
-        kutil::im2colUnfold(x + n * ci * h * w, col, ci, h, w, kh, kw,
-                            ho, wo, stride, pad, 0.0f);
-        float *out = c.out + n * co * cols;
-        for (int64_t o = 0; o < co; ++o) {
-            float *dst = out + o * cols;
-            std::memset(dst, 0, sizeof(float) * cols);
-            const float *wrow = wt + o * k;
-            for (int64_t kx = 0; kx < k; ++kx) {
-                __m256 wv = _mm256_set1_ps(wrow[kx]);
-                const float *src = col + kx * cols;
-                int64_t j = 0;
-                for (; j + 8 <= cols; j += 8)
-                    _mm256_storeu_ps(
-                        dst + j,
-                        _mm256_fmadd_ps(wv, _mm256_loadu_ps(src + j),
-                                        _mm256_loadu_ps(dst + j)));
-                for (; j < cols; ++j)
-                    dst[j] += wrow[kx] * src[j];
+    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    const __m256i wv = _mm256_set1_epi32(static_cast<int>(w));
+    const __m256i neg1 = _mm256_set1_epi32(-1);
+    int64_t hi = partitionEnd(c, xs[0] * ch);
+    for (int64_t idx = c.begin; idx < hi; ++idx) {
+        int64_t ni = idx / ch, cc = idx % ch;
+        const float *xp = c.in[0] + (ni * ch + cc) * h * w;
+        const float *wp = c.in[1] + cc * kh * kw;
+        __m256 bias = _mm256_set1_ps(c.in[2][cc]);
+        float *op = c.out + (ni * ch + cc) * ho * wo;
+        for (int64_t j = 0; j < wo; j += 8) {
+            __m256i live = laneMask(std::min<int64_t>(8, wo - j));
+            // Input column of lane l for tap b = base + b, where
+            // base = (j + l) * stride - pad.
+            __m256i base = _mm256_sub_epi32(
+                _mm256_mullo_epi32(
+                    _mm256_add_epi32(
+                        _mm256_set1_epi32(static_cast<int>(j)), lane),
+                    _mm256_set1_epi32(static_cast<int>(stride))),
+                _mm256_set1_epi32(static_cast<int>(pad)));
+            for (int64_t i = 0; i < ho; ++i) {
+                __m256 acc = bias;
+                for (int64_t a = 0; a < kh; ++a) {
+                    int64_t ih = i * stride - pad + a;
+                    if (ih < 0 || ih >= h)
+                        continue;
+                    const float *xrow = xp + ih * w;
+                    for (int64_t b = 0; b < kw; ++b) {
+                        __m256i col = _mm256_add_epi32(
+                            base, _mm256_set1_epi32(static_cast<int>(b)));
+                        __m256i in = _mm256_and_si256(
+                            _mm256_and_si256(
+                                _mm256_cmpgt_epi32(col, neg1),
+                                _mm256_cmpgt_epi32(wv, col)),
+                            live);
+                        __m256 xv =
+                            stride == 1
+                                ? _mm256_maskload_ps(
+                                      xrow + j - pad + b, in)
+                                : _mm256_mask_i32gather_ps(
+                                      _mm256_setzero_ps(), xrow, col,
+                                      _mm256_castsi256_ps(in), 4);
+                        acc = _mm256_fmadd_ps(
+                            _mm256_set1_ps(wp[a * kw + b]), xv, acc);
+                    }
+                }
+                if (act == kActRelu)
+                    acc = _mm256_max_ps(acc, _mm256_setzero_ps());
+                float *orow = op + i * wo + j;
+                _mm256_maskstore_ps(orow, live, acc);
+                if (act != kActNone && act != kActRelu) {
+                    for (int64_t l = 0; l < std::min<int64_t>(8, wo - j);
+                         ++l)
+                        orow[l] = kutil::actOf(act, orow[l]);
+                }
             }
         }
     }
@@ -601,8 +789,17 @@ registerSimdAvx2Kernels()
     registerKernel(OpKind::BatchMatMul, "blocked@avx2",
                    batchMatmulAvx2K, batch,
                    kutil::blockedGemmWorkspace);
-    registerKernel(OpKind::Conv2d, "im2col@avx2", conv2dIm2colAvx2K,
-                   images, kutil::im2colConvWorkspace);
+    PartitionSpec tiles{kutil::convTiles, 1};
+    for (OpKind op : {OpKind::Conv2d, OpKind::ConvBiasAct})
+        registerKernel(op, "im2col@avx2", convGemmAvx2K, tiles,
+                       kutil::convGemmWorkspace);
+    registerKernel(OpKind::Conv2dBwdInput, "avx2", convBwdInputAvx2K,
+                   images, kutil::convGemmWorkspace);
+    registerKernel(OpKind::Conv2dBwdWeight, "avx2", convBwdWeightAvx2K,
+                   PartitionSpec{part::outDim0, 1},
+                   kutil::convGemmWorkspace);
+    registerKernel(OpKind::DwConvBiasAct, "avx2", dwConvBiasActAvx2K,
+                   imageChannels);
     registerKernel(OpKind::FusedAttention, "avx2", fusedAttentionAvx2K,
                    PartitionSpec{part::outRows, 1},
                    kutil::fusedAttentionWorkspace);

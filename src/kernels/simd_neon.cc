@@ -1,9 +1,10 @@
 /**
  * @file
- * NEON kernel tier: the same quartet as simd_avx2.cc — fp32 panel
- * GEMM, im2col conv inner loop, int8 GEMM, int8 depthwise — as
- * "<base>@neon" variants with the scalar bases' partition domains and
- * workspace declarations (kernel_util.h).
+ * NEON kernel tier: fp32 panel GEMM, the fp32 conv-family GEMM with
+ * its bias+act epilogue (Conv2d "im2col", ConvBiasAct, both conv
+ * backward ops), fused attention, int8 GEMM, int8 conv and depthwise —
+ * as "<base>@neon" variants with the scalar bases' partition domains
+ * and workspace declarations (kernel_util.h).
  *
  * NEON is a compile-time baseline on ARM (__ARM_NEON), so this TU
  * needs no special flags; it compiles empty elsewhere. The numerics
@@ -121,43 +122,74 @@ batchMatmulNeonK(const KernelCtx &c)
     }
 }
 
-// ---- fp32 im2col conv -------------------------------------------------
+// ---- fp32 conv-family GEMM (bias+act epilogue) -----------------------
 
+/**
+ * The conv-family GEMM (kutil::ConvGemm) in 4-row x 4-column register
+ * tiles, started from C, the bias or zero; the column tail runs
+ * scalar in the same k order. The epilogue applies kutil::actOf to
+ * each finished tile, so the activation math is the scalar tier's.
+ */
 void
-conv2dIm2colNeonK(const KernelCtx &c)
+convGemmNeon(const kutil::ConvGemm &g)
 {
-    const Shape &xs = *c.inShapes[0];
-    const Shape &ws = *c.inShapes[1];
-    int64_t stride = c.node->attrs.getInt("stride", 1);
-    int64_t pad = c.node->attrs.getInt("pad", 0);
-    int64_t nI = xs[0], ci = xs[1], h = xs[2], w = xs[3];
-    int64_t co = ws[0], kh = ws[2], kw = ws[3];
-    int64_t ho = (*c.outShape)[2], wo = (*c.outShape)[3];
-    const float *x = c.in[0], *wt = c.in[1];
-    int64_t k = ci * kh * kw;
-    int64_t cols = ho * wo;
-    float *col = c.workspace;
-    for (int64_t n = c.begin; n < partitionEnd(c, nI); ++n) {
-        kutil::im2colUnfold(x + n * ci * h * w, col, ci, h, w, kh, kw,
-                            ho, wo, stride, pad, 0.0f);
-        float *out = c.out + n * co * cols;
-        for (int64_t o = 0; o < co; ++o) {
-            float *dst = out + o * cols;
-            std::memset(dst, 0, sizeof(float) * cols);
-            const float *wrow = wt + o * k;
-            for (int64_t kx = 0; kx < k; ++kx) {
-                const float *src = col + kx * cols;
-                int64_t j = 0;
-                for (; j + 4 <= cols; j += 4)
-                    vst1q_f32(dst + j,
-                              vmlaq_n_f32(vld1q_f32(dst + j),
-                                          vld1q_f32(src + j),
-                                          wrow[kx]));
-                for (; j < cols; ++j)
-                    dst[j] += wrow[kx] * src[j];
+    for (int64_t r0 = 0; r0 < g.m; r0 += 4) {
+        int64_t rows = std::min<int64_t>(4, g.m - r0);
+        int64_t j = 0;
+        for (; j + 4 <= g.n; j += 4) {
+            float32x4_t acc[4];
+            for (int64_t r = 0; r < rows; ++r)
+                acc[r] = g.accumulate
+                             ? vld1q_f32(g.c + (r0 + r) * g.ldc + j)
+                             : vdupq_n_f32(g.bias ? g.bias[r0 + r]
+                                                  : 0.0f);
+            for (int64_t kk = 0; kk < g.k; ++kk) {
+                float32x4_t bv = vld1q_f32(g.b + kk * g.ldb + j);
+                for (int64_t r = 0; r < rows; ++r)
+                    acc[r] = vmlaq_n_f32(
+                        acc[r], bv, g.a[(r0 + r) * g.ars + kk * g.acs]);
+            }
+            for (int64_t r = 0; r < rows; ++r)
+                vst1q_f32(g.c + (r0 + r) * g.ldc + j, acc[r]);
+        }
+        for (; j < g.n; ++j) {
+            for (int64_t r = 0; r < rows; ++r) {
+                float *cp = g.c + (r0 + r) * g.ldc + j;
+                float s = g.accumulate ? *cp
+                          : g.bias     ? g.bias[r0 + r]
+                                       : 0.0f;
+                for (int64_t kk = 0; kk < g.k; ++kk)
+                    s += g.a[(r0 + r) * g.ars + kk * g.acs] *
+                         g.b[kk * g.ldb + j];
+                *cp = s;
+            }
+        }
+        if (g.act != kActNone) {
+            for (int64_t r = 0; r < rows; ++r) {
+                float *crow = g.c + (r0 + r) * g.ldc;
+                for (int64_t jj = 0; jj < g.n; ++jj)
+                    crow[jj] = kutil::actOf(g.act, crow[jj]);
             }
         }
     }
+}
+
+void
+convGemmNeonK(const KernelCtx &c)
+{
+    kutil::convForward(c, convGemmNeon);
+}
+
+void
+convBwdInputNeonK(const KernelCtx &c)
+{
+    kutil::convBwdInput(c, convGemmNeon);
+}
+
+void
+convBwdWeightNeonK(const KernelCtx &c)
+{
+    kutil::convBwdWeight(c, convGemmNeon);
 }
 
 // ---- fused attention --------------------------------------------------
@@ -556,8 +588,15 @@ registerSimdNeonKernels()
     registerKernel(OpKind::BatchMatMul, "blocked@neon",
                    batchMatmulNeonK, batch,
                    kutil::blockedGemmWorkspace);
-    registerKernel(OpKind::Conv2d, "im2col@neon", conv2dIm2colNeonK,
-                   images, kutil::im2colConvWorkspace);
+    PartitionSpec tiles{kutil::convTiles, 1};
+    for (OpKind op : {OpKind::Conv2d, OpKind::ConvBiasAct})
+        registerKernel(op, "im2col@neon", convGemmNeonK, tiles,
+                       kutil::convGemmWorkspace);
+    registerKernel(OpKind::Conv2dBwdInput, "neon", convBwdInputNeonK,
+                   images, kutil::convGemmWorkspace);
+    registerKernel(OpKind::Conv2dBwdWeight, "neon", convBwdWeightNeonK,
+                   PartitionSpec{part::outDim0, 1},
+                   kutil::convGemmWorkspace);
     registerKernel(OpKind::FusedAttention, "neon", fusedAttentionNeonK,
                    PartitionSpec{part::outRows, 1},
                    kutil::fusedAttentionWorkspace);

@@ -23,6 +23,7 @@
 #include <cstring>
 
 #include "kernels/kernel.h"
+#include "kernels/kernel_util.h"
 
 namespace pe {
 namespace {
@@ -180,10 +181,8 @@ winogradConv(const KernelCtx &c, const float *bias, int64_t act)
                         int64_t ow = tw * 2 + bb;
                         if (ow >= wo)
                             continue;
-                        float v = y[a][bb] + b;
-                        if (act == kActRelu && v < 0)
-                            v = 0;
-                        op[oh * wo + ow] = v;
+                        op[oh * wo + ow] =
+                            kutil::actOf(act, y[a][bb] + b);
                     }
                 }
             }

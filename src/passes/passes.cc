@@ -571,15 +571,18 @@ switchBackends(Graph &g, const BackendOptions &opts, PassStats *stats)
                         ++stats->winogradBound;
                 }
             }
-            if (variants[id].empty() && n.op == OpKind::Conv2d &&
-                opts.enableBlocked &&
-                numel(n.shape) / n.shape[0] >=
-                    opts.blockedMinDim * opts.blockedMinDim) {
-                // Winograd-ineligible convs with a big enough
-                // per-image output lower to im2col — the variant the
-                // SIMD tier upgrades ("im2col@avx2"/"@neon"); the
-                // direct kernel's partition domain is incompatible,
-                // so a direct-bound conv can never reach the tier.
+            bool gemm_worth_it =
+                n.op == OpKind::ConvBiasAct ||
+                (opts.enableBlocked &&
+                 numel(n.shape) / n.shape[0] >=
+                     opts.blockedMinDim * opts.blockedMinDim);
+            if (variants[id].empty() && gemm_worth_it) {
+                // Winograd-ineligible convs lower to the im2col GEMM
+                // with its bias+act epilogue — the variant the SIMD
+                // tier upgrades ("im2col@avx2"/"@neon"). ConvBiasAct
+                // always takes it (its default is the same scalar
+                // GEMM); a bare Conv2d only when its per-image output
+                // is big enough, else the direct kernel.
                 variants[id] = "im2col";
                 if (stats)
                     ++stats->im2colBound;

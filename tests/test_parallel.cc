@@ -251,6 +251,17 @@ convAttrs(int64_t stride, int64_t pad)
     return a;
 }
 
+/** This host's bare tier variant name ("avx2"/"neon"), optionally
+ *  behind @p sep ("@avx2"); "" on a scalar-only host, which makes the
+ *  tier cases rerun the scalar kernels. */
+std::string
+hostTier(const std::string &sep = "")
+{
+    detail::ensureKernelsRegistered();
+    SimdTier t = hostSimdTier();
+    return t == SimdTier::Scalar ? "" : sep + simdTierName(t);
+}
+
 TEST(KernelPartition, Elementwise)
 {
     expectShardInvariant({OpKind::Add, {{6, 33}, {6, 33}}, {}});
@@ -282,17 +293,32 @@ TEST(KernelPartition, Conv)
     expectShardInvariant(
         {OpKind::DwConv2d, {{2, 4, 8, 8}, {4, 1, 3, 3}}, convAttrs(1, 1)});
 
-    Attrs bi = convAttrs(1, 1);
-    bi.set("xshape", std::vector<int64_t>{3, 3, 8, 8});
-    expectShardInvariant({OpKind::Conv2dBwdInput,
-                          {{4, 3, 3, 3}, {3, 4, 8, 8}},
-                          std::move(bi)});
+    // Both conv backward ops run the im2col GEMM, at the host tier too
+    // (shards: images for dx, output channels for dW).
+    for (const std::string &v : {std::string(""), hostTier()}) {
+        SCOPED_TRACE("variant '" + v + "'");
+        Attrs bi = convAttrs(1, 1);
+        bi.set("xshape", std::vector<int64_t>{3, 3, 8, 8});
+        expectShardInvariant({OpKind::Conv2dBwdInput,
+                              {{4, 3, 3, 3}, {3, 4, 8, 8}},
+                              std::move(bi)},
+                             v);
 
-    Attrs bw = convAttrs(1, 1);
-    bw.set("wshape", std::vector<int64_t>{4, 3, 3, 3});
-    expectShardInvariant({OpKind::Conv2dBwdWeight,
-                          {{2, 3, 8, 8}, {2, 4, 8, 8}},
-                          std::move(bw)});
+        Attrs bw = convAttrs(1, 1);
+        bw.set("wshape", std::vector<int64_t>{4, 3, 3, 3});
+        expectShardInvariant({OpKind::Conv2dBwdWeight,
+                              {{2, 3, 8, 8}, {2, 4, 8, 8}},
+                              std::move(bw)},
+                             v);
+        // limitCo: only the first 3 of 5 output channels get dW rows.
+        Attrs bl = convAttrs(2, 1);
+        bl.set("wshape", std::vector<int64_t>{5, 3, 3, 3});
+        bl.set("limitCo", static_cast<int64_t>(3));
+        expectShardInvariant({OpKind::Conv2dBwdWeight,
+                              {{2, 3, 9, 9}, {2, 5, 5, 5}},
+                              std::move(bl)},
+                             v);
+    }
 }
 
 TEST(KernelPartition, RowKernels)
@@ -344,11 +370,42 @@ TEST(KernelPartition, FusedKernels)
     mb.set("act", kActRelu);
     expectShardInvariant(
         {OpKind::MatMulBiasAct, {{13, 7}, {7, 9}, {9}}, std::move(mb)});
-    Attrs cb = convAttrs(1, 1);
-    cb.set("act", kActRelu);
-    expectShardInvariant({OpKind::ConvBiasAct,
-                          {{2, 3, 8, 8}, {4, 3, 3, 3}, {4, 1, 1}},
-                          std::move(cb)});
+    // ConvBiasAct shards over (image, column tile) pairs, scalar and
+    // at the host tier. 12x12 = 144 output pixels is 5 tiles per image
+    // (the last one narrow), so even a batch-1 k x k conv splits; the
+    // pointwise case reads its image in place; stride 2 narrows the
+    // plane to 2 tiles per image.
+    struct Case {
+        Shape x, w;
+        int64_t stride, pad;
+    };
+    std::vector<Case> cases = {{{2, 3, 8, 8}, {4, 3, 3, 3}, 1, 1},
+                               {{1, 3, 12, 12}, {5, 3, 3, 3}, 1, 1},
+                               {{1, 6, 12, 12}, {7, 6, 1, 1}, 1, 0},
+                               {{2, 4, 16, 16}, {3, 4, 5, 5}, 2, 2}};
+    for (const std::string &v : {std::string("im2col"),
+                                 "im2col" + hostTier("@")}) {
+        for (const Case &cs : cases) {
+            SCOPED_TRACE("variant '" + v + "', x " +
+                         std::to_string(cs.x[0]) + "x" +
+                         std::to_string(cs.x[1]) + "x" +
+                         std::to_string(cs.x[2]) + ", k" +
+                         std::to_string(cs.w[2]) + " s" +
+                         std::to_string(cs.stride));
+            Attrs cb = convAttrs(cs.stride, cs.pad);
+            cb.set("act", kActRelu);
+            expectShardInvariant({OpKind::ConvBiasAct,
+                                  {cs.x, cs.w, {cs.w[0], 1, 1}},
+                                  std::move(cb)},
+                                 v);
+        }
+    }
+    Attrs db = convAttrs(1, 1);
+    db.set("act", kActRelu);
+    expectShardInvariant({OpKind::DwConvBiasAct,
+                          {{2, 4, 9, 9}, {4, 1, 3, 3}, {4, 1, 1}},
+                          db},
+                         hostTier());
 }
 
 // ---- Fallback visibility ---------------------------------------------

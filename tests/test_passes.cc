@@ -278,6 +278,41 @@ TEST(BackendSwitch, WinogradRequiresFrozen3x3Stride1)
     EXPECT_EQ(stats.winogradBound, 1);
 }
 
+TEST(BackendSwitch, ConvBiasActBindsGemmWhereWinogradIsIneligible)
+{
+    // A fused conv is the im2col GEMM with a bias+act epilogue unless
+    // Winograd can take it (frozen 3x3 stride 1): trainable weights,
+    // stride 2 and non-3x3 kernels all bind the GEMM variant, however
+    // small the output — there is no direct fused kernel to fall to.
+    Graph g;
+    int x = g.input({1, 4, 6, 6}, "x");
+    int w_frozen = g.param({4, 4, 3, 3}, "wf", false);
+    int w_train = g.param({4, 4, 3, 3}, "wt", true);
+    int w_1x1 = g.param({4, 4, 1, 1}, "w1", false);
+    int b = g.param({4, 1, 1}, "b", true);
+    auto fused = [&](int w, int64_t stride, int64_t pad) {
+        Attrs a;
+        a.set("stride", stride);
+        a.set("pad", pad);
+        a.set("act", static_cast<int64_t>(kActRelu));
+        int id = g.add(OpKind::ConvBiasAct, {x, w, b}, std::move(a));
+        g.markOutput(id);
+        return id;
+    };
+    int c_wino = fused(w_frozen, 1, 1);
+    int c_train = fused(w_train, 1, 1);
+    int c_s2 = fused(w_frozen, 2, 1);
+    int c_1x1 = fused(w_1x1, 1, 0);
+    PassStats stats;
+    auto variants = switchBackends(g, BackendOptions{}, &stats);
+    EXPECT_EQ(variants[c_wino], "winograd");
+    EXPECT_EQ(variants[c_train], "im2col");
+    EXPECT_EQ(variants[c_s2], "im2col");
+    EXPECT_EQ(variants[c_1x1], "im2col");
+    EXPECT_EQ(stats.winogradBound, 1);
+    EXPECT_EQ(stats.im2colBound, 3);
+}
+
 TEST(LiveSet, TracksThroughChains)
 {
     Graph g;

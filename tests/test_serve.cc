@@ -22,17 +22,21 @@
  *     deadline-window expiry, coalesceWindowUs=0 reproducing the
  *     per-request path, a 4-worker x 64-request coalescing stress,
  *     and the bounded latency reservoir.
+ *  6. Hostile inputs: an out-of-vocabulary token id fails its own
+ *     prefill with an error and leaves the engine serving unchanged.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <thread>
 #include <vector>
 
 #include "engine/engine.h"
 #include "frontend/builder.h"
+#include "frontend/models.h"
 #include "serve/coalescer.h"
 #include "serve/queue.h"
 #include "serve/serving.h"
@@ -976,6 +980,71 @@ TEST(Serving, LatencyReservoirStaysBoundedUnderSustainedTraffic)
     EXPECT_GT(s.p50LatencyUs, 0.0);
     EXPECT_GE(s.p99LatencyUs, s.p50LatencyUs)
         << "percentiles must stay stable over the sliding window";
+}
+
+// ---- hostile token ids -------------------------------------------------
+
+TEST(Serving, OutOfVocabTokenFailsItsPrefillAndServingContinues)
+{
+    DecoderConfig cfg;
+    cfg.vocab = 48;
+    cfg.dim = 16;
+    cfg.ffDim = 32;
+    cfg.layers = 2;
+    cfg.maxSeq = 16;
+    auto makeEngine = [&](std::shared_ptr<ParamStore> store) {
+        ServeOptions so;
+        so.buckets = {4};
+        so.decodeBuckets = {4};
+        so.workers = 1;
+        so.decodeFactory = [store, cfg](int64_t streams) {
+            Rng r(7);
+            ModelSpec m = buildDecoderDecode(cfg, streams, r, store.get());
+            return ServedModel{std::move(m.graph), {m.logits}};
+        };
+        return std::make_unique<ServingEngine>(
+            [store, cfg](int64_t prompt) {
+                Rng r(7);
+                ModelSpec m =
+                    buildDecoderPrefill(cfg, prompt, r, store.get());
+                return ServedModel{std::move(m.graph), {m.logits}};
+            },
+            store, so);
+    };
+    auto tokens = [](std::vector<float> ids) {
+        Tensor t({static_cast<int64_t>(ids.size()), 1});
+        for (size_t i = 0; i < ids.size(); ++i)
+            t[static_cast<int64_t>(i)] = ids[i];
+        return t;
+    };
+    auto engine = makeEngine(std::make_shared<ParamStore>());
+    auto clean = makeEngine(std::make_shared<ParamStore>());
+    Tensor want =
+        clean->session().prefill({{"x", tokens({3, 1, 4, 1})}})[0];
+
+    Session s = engine->session();
+    // Past the end, negative, NaN: each fails only its own request,
+    // as an error naming the id, before the kernel touches memory.
+    for (float bad : {48.0f, 1e9f, -1.0f, std::nanf("")}) {
+        try {
+            s.prefill({{"x", tokens({3, bad, 4, 1})}});
+            ADD_FAILURE() << "token " << bad << " was accepted";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("outside the vocabulary"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_EQ(engine->stats().failed, 4);
+
+    // The engine keeps serving, and the same stream's next good
+    // prefill is bit-identical to a never-failed engine's.
+    Tensor got = s.prefill({{"x", tokens({3, 1, 4, 1})}})[0];
+    ASSERT_EQ(got.shape(), want.shape());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          sizeof(float) * static_cast<size_t>(got.size())),
+              0);
+    EXPECT_EQ(s.generation(), 4);
 }
 
 } // namespace

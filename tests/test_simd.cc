@@ -34,6 +34,7 @@
 #include "frontend/models.h"
 #include "hw/cpu_features.h"
 #include "kernels/kernel.h"
+#include "kernels/kernel_util.h"
 #include "plan/plan.h"
 #include "quant/quant.h"
 #include "testutil.h"
@@ -308,6 +309,340 @@ TEST(SimdParity, Fp32Im2colConvWithin1e5Relative)
         Tensor scalar = runKernel(g, conv, {tx, tw}, "im2col");
         Tensor simd = runKernel(g, conv, {tx, tw}, "im2col" + sfx);
         EXPECT_LT(maxRelDiff(scalar, simd), 1e-5f);
+    }
+}
+
+// ---- 2b. the fp32 conv family as one GEMM ----------------------------
+//
+// Conv2d "im2col", ConvBiasAct and both conv backward ops run one GEMM
+// with a bias+act epilogue. The references below are the direct loops
+// those kernels replaced, kept here verbatim in summation order: the
+// scalar GEMM must reproduce them value for value wherever it sums in
+// the same order (forward, weight backward, pointwise input backward),
+// and every tier must stay within 1e-5 relative of the scalar GEMM.
+
+struct ConvCase {
+    int64_t n, ci, co, hw, k, stride, pad;
+
+    std::string
+    name() const
+    {
+        return "n" + std::to_string(n) + " ci" + std::to_string(ci) +
+               " co" + std::to_string(co) + " hw" + std::to_string(hw) +
+               " k" + std::to_string(k) + " s" + std::to_string(stride) +
+               " p" + std::to_string(pad);
+    }
+    int64_t out() const { return (hw + 2 * pad - k) / stride + 1; }
+};
+
+/** Pointwise in place, k x k over several column tiles with narrow
+ *  last tiles, stride 1 and 2, pad 0 and k/2; output-pixel counts
+ *  (81, 16, 169, 36, 121, 16, 64, 1) are mostly not multiples of 8,
+ *  and channel counts straddle the 6-row register tile. */
+const std::vector<ConvCase> kConvCases = {
+    {2, 3, 8, 9, 3, 1, 1},   {1, 4, 5, 7, 3, 2, 1},
+    {2, 2, 13, 13, 5, 1, 2}, {2, 8, 7, 6, 1, 1, 0},
+    {1, 16, 19, 11, 1, 1, 0}, {2, 5, 6, 8, 1, 2, 0},
+    {1, 3, 4, 10, 3, 1, 0},  {1, 1, 1, 1, 1, 1, 0},
+};
+
+Attrs
+convAttrs(const ConvCase &cs)
+{
+    Attrs a;
+    a.set("stride", cs.stride);
+    a.set("pad", cs.pad);
+    return a;
+}
+
+/** The replaced direct fused kernel: bias, then (ci, kh, kw) taps,
+ *  padded taps skipped, then the activation. */
+Tensor
+directConvBiasAct(const ConvCase &cs, const Tensor &x, const Tensor &w,
+                  const float *bias, int64_t act)
+{
+    int64_t o = cs.out();
+    Tensor y({cs.n, cs.co, o, o});
+    for (int64_t n = 0; n < cs.n; ++n)
+        for (int64_t co = 0; co < cs.co; ++co)
+            for (int64_t i = 0; i < o; ++i)
+                for (int64_t j = 0; j < o; ++j) {
+                    float acc = bias ? bias[co] : 0.0f;
+                    for (int64_t ci = 0; ci < cs.ci; ++ci)
+                        for (int64_t a = 0; a < cs.k; ++a) {
+                            int64_t ih = i * cs.stride - cs.pad + a;
+                            if (ih < 0 || ih >= cs.hw)
+                                continue;
+                            for (int64_t b = 0; b < cs.k; ++b) {
+                                int64_t iw = j * cs.stride - cs.pad + b;
+                                if (iw < 0 || iw >= cs.hw)
+                                    continue;
+                                acc += x[((n * cs.ci + ci) * cs.hw + ih) *
+                                             cs.hw + iw] *
+                                       w[((co * cs.ci + ci) * cs.k + a) *
+                                             cs.k + b];
+                            }
+                        }
+                    y[((n * cs.co + co) * o + i) * o + j] =
+                        kutil::actOf(act, acc);
+                }
+    return y;
+}
+
+/** The replaced direct weight backward: per dW entry, (n, ho, wo)
+ *  ascending; only the first @p limit output channels. */
+Tensor
+directConvBwdWeight(const ConvCase &cs, const Tensor &x, const Tensor &dy,
+                    int64_t limit)
+{
+    int64_t o = cs.out();
+    Tensor dw = Tensor::zeros({limit, cs.ci, cs.k, cs.k});
+    for (int64_t co = 0; co < limit; ++co)
+        for (int64_t n = 0; n < cs.n; ++n)
+            for (int64_t i = 0; i < o; ++i)
+                for (int64_t j = 0; j < o; ++j) {
+                    float g = dy[((n * cs.co + co) * o + i) * o + j];
+                    for (int64_t ci = 0; ci < cs.ci; ++ci)
+                        for (int64_t a = 0; a < cs.k; ++a) {
+                            int64_t ih = i * cs.stride - cs.pad + a;
+                            if (ih < 0 || ih >= cs.hw)
+                                continue;
+                            for (int64_t b = 0; b < cs.k; ++b) {
+                                int64_t iw = j * cs.stride - cs.pad + b;
+                                if (iw < 0 || iw >= cs.hw)
+                                    continue;
+                                dw[((co * cs.ci + ci) * cs.k + a) * cs.k +
+                                   b] +=
+                                    g * x[((n * cs.ci + ci) * cs.hw + ih) *
+                                              cs.hw + iw];
+                            }
+                        }
+                }
+    return dw;
+}
+
+/** The replaced direct input backward: per dx entry, (co, ho, wo)
+ *  ascending. */
+Tensor
+directConvBwdInput(const ConvCase &cs, const Tensor &w, const Tensor &dy)
+{
+    int64_t o = cs.out();
+    Tensor dx = Tensor::zeros({cs.n, cs.ci, cs.hw, cs.hw});
+    for (int64_t n = 0; n < cs.n; ++n)
+        for (int64_t co = 0; co < cs.co; ++co)
+            for (int64_t i = 0; i < o; ++i)
+                for (int64_t j = 0; j < o; ++j) {
+                    float g = dy[((n * cs.co + co) * o + i) * o + j];
+                    for (int64_t a = 0; a < cs.k; ++a) {
+                        int64_t ih = i * cs.stride - cs.pad + a;
+                        if (ih < 0 || ih >= cs.hw)
+                            continue;
+                        for (int64_t b = 0; b < cs.k; ++b) {
+                            int64_t iw = j * cs.stride - cs.pad + b;
+                            if (iw < 0 || iw >= cs.hw)
+                                continue;
+                            for (int64_t ci = 0; ci < cs.ci; ++ci)
+                                dx[((n * cs.ci + ci) * cs.hw + ih) *
+                                       cs.hw + iw] +=
+                                    g * w[((co * cs.ci + ci) * cs.k + a) *
+                                              cs.k + b];
+                        }
+                    }
+                }
+    return dx;
+}
+
+/** Elements that differ in value (-0 == +0). */
+int64_t
+valueMismatches(const Tensor &a, const Tensor &b)
+{
+    int64_t bad = 0;
+    for (int64_t i = 0; i < a.size(); ++i)
+        bad += !(a[i] == b[i]);
+    return bad;
+}
+
+/** One conv-family node per case, with its random operands. */
+struct ConvGraph {
+    Graph g;
+    int x, w, b, dy;
+    Tensor tx, tw, tb, tdy;
+
+    explicit ConvGraph(const ConvCase &cs, uint64_t seed = 104)
+    {
+        Rng rng(seed);
+        int64_t o = cs.out();
+        x = g.input({cs.n, cs.ci, cs.hw, cs.hw}, "x");
+        w = g.param({cs.co, cs.ci, cs.k, cs.k}, "w", true);
+        b = g.param({cs.co, 1, 1}, "b", true);
+        dy = g.input({cs.n, cs.co, o, o}, "dy");
+        tx = Tensor::randn(g.node(x).shape, rng);
+        tw = Tensor::randn(g.node(w).shape, rng, 0.3f);
+        tb = Tensor::randn(g.node(b).shape, rng);
+        tdy = Tensor::randn(g.node(dy).shape, rng);
+    }
+
+    int
+    forward(const ConvCase &cs, int64_t act)
+    {
+        Attrs a = convAttrs(cs);
+        a.set("act", act);
+        return g.add(OpKind::ConvBiasAct, {x, w, b}, std::move(a));
+    }
+
+    int
+    bwdWeight(const ConvCase &cs, int64_t limit)
+    {
+        Attrs a = convAttrs(cs);
+        a.set("wshape", g.node(w).shape);
+        if (limit < cs.co)
+            a.set("limitCo", limit);
+        return g.add(OpKind::Conv2dBwdWeight, {x, dy}, std::move(a));
+    }
+
+    int
+    bwdInput(const ConvCase &cs)
+    {
+        Attrs a = convAttrs(cs);
+        a.set("xshape", g.node(x).shape);
+        return g.add(OpKind::Conv2dBwdInput, {w, dy}, std::move(a));
+    }
+};
+
+const int64_t kActs[] = {kActNone, kActRelu, kActGelu, kActSilu};
+
+TEST(ConvGemm, ScalarForwardEqualsDirectLoops)
+{
+    for (const ConvCase &cs : kConvCases) {
+        SCOPED_TRACE(cs.name());
+        ConvGraph cg(cs);
+        for (int64_t act : kActs) {
+            SCOPED_TRACE("act " + std::to_string(act));
+            int node = cg.forward(cs, act);
+            Tensor want =
+                directConvBiasAct(cs, cg.tx, cg.tw, cg.tb.data(), act);
+            for (const char *v : {"", "im2col"})
+                EXPECT_EQ(valueMismatches(
+                              runKernel(cg.g, node,
+                                        {cg.tx, cg.tw, cg.tb}, v),
+                              want),
+                          0)
+                    << "variant '" << v << "'";
+        }
+        // Conv2d "im2col": no bias, no activation.
+        int conv = cg.g.add(OpKind::Conv2d, {cg.x, cg.w}, convAttrs(cs));
+        EXPECT_EQ(valueMismatches(
+                      runKernel(cg.g, conv, {cg.tx, cg.tw}, "im2col"),
+                      directConvBiasAct(cs, cg.tx, cg.tw, nullptr,
+                                        kActNone)),
+                  0);
+    }
+}
+
+TEST(ConvGemm, ScalarBwdWeightEqualsDirectLoop)
+{
+    for (const ConvCase &cs : kConvCases) {
+        SCOPED_TRACE(cs.name());
+        ConvGraph cg(cs);
+        for (int64_t limit : {cs.co, (cs.co + 1) / 2}) {
+            SCOPED_TRACE("limitCo " + std::to_string(limit));
+            int node = cg.bwdWeight(cs, limit);
+            EXPECT_EQ(valueMismatches(
+                          runKernel(cg.g, node, {cg.tx, cg.tdy}, ""),
+                          directConvBwdWeight(cs, cg.tx, cg.tdy, limit)),
+                      0);
+        }
+    }
+}
+
+TEST(ConvGemm, ScalarBwdInputMatchesDirectLoop)
+{
+    for (const ConvCase &cs : kConvCases) {
+        SCOPED_TRACE(cs.name());
+        ConvGraph cg(cs);
+        int node = cg.bwdInput(cs);
+        Tensor got = runKernel(cg.g, node, {cg.tw, cg.tdy}, "");
+        Tensor want = directConvBwdInput(cs, cg.tw, cg.tdy);
+        // A pointwise dx sums its channels in the direct loop's order.
+        // A k x k dx sums each tap's channel reduction, then the taps
+        // (col2im), which reorders the direct loop's sum.
+        if (cs.k == 1 && cs.stride == 1 && cs.pad == 0)
+            EXPECT_EQ(valueMismatches(got, want), 0);
+        else
+            EXPECT_LT(maxRelDiff(got, want), 1e-5f);
+    }
+}
+
+TEST(SimdParity, Fp32ConvFamilyWithin1e5Relative)
+{
+    SKIP_WITHOUT_SIMD();
+    std::string sfx = hostSuffix();
+    std::string tier = sfx.substr(1); // "avx2" / "neon"
+    for (const ConvCase &cs : kConvCases) {
+        SCOPED_TRACE(cs.name());
+        ConvGraph cg(cs);
+        for (int64_t act : kActs) {
+            SCOPED_TRACE("act " + std::to_string(act));
+            int node = cg.forward(cs, act);
+            EXPECT_LT(
+                maxRelDiff(
+                    runKernel(cg.g, node, {cg.tx, cg.tw, cg.tb}, ""),
+                    runKernel(cg.g, node, {cg.tx, cg.tw, cg.tb},
+                              "im2col" + sfx)),
+                1e-5f);
+        }
+        for (int64_t limit : {cs.co, (cs.co + 1) / 2}) {
+            SCOPED_TRACE("limitCo " + std::to_string(limit));
+            int node = cg.bwdWeight(cs, limit);
+            EXPECT_LT(maxRelDiff(runKernel(cg.g, node, {cg.tx, cg.tdy}, ""),
+                                 runKernel(cg.g, node, {cg.tx, cg.tdy},
+                                           tier)),
+                      1e-5f);
+        }
+        int node = cg.bwdInput(cs);
+        EXPECT_LT(maxRelDiff(runKernel(cg.g, node, {cg.tw, cg.tdy}, ""),
+                             runKernel(cg.g, node, {cg.tw, cg.tdy}, tier)),
+                  1e-5f);
+    }
+}
+
+TEST(SimdParity, Fp32DwConvBiasActWithin1e5Relative)
+{
+    if (!hasKernelVariant(OpKind::DwConvBiasAct, "avx2"))
+        GTEST_SKIP() << "no depthwise fp32 tier on this host";
+    Rng rng(105);
+    struct S {
+        int64_t n, ch, hw, k, stride, pad;
+    };
+    // Widths below, at and past one 8-lane vector; borders on every
+    // side; stride 2 (gathered taps); a 1x1 plane.
+    std::vector<S> shapes = {{2, 3, 16, 3, 1, 1}, {1, 4, 9, 5, 2, 2},
+                             {2, 5, 7, 7, 1, 3},  {1, 2, 13, 3, 2, 0},
+                             {1, 3, 4, 5, 1, 2},  {1, 2, 1, 3, 1, 1},
+                             {2, 6, 11, 3, 1, 0}};
+    for (auto [n, ch, hw, k, stride, pad] : shapes) {
+        SCOPED_TRACE("dw n" + std::to_string(n) + " ch" +
+                     std::to_string(ch) + " hw" + std::to_string(hw) +
+                     " k" + std::to_string(k) + " s" +
+                     std::to_string(stride) + " p" + std::to_string(pad));
+        for (int64_t act : kActs) {
+            Graph g;
+            int x = g.input({n, ch, hw, hw}, "x");
+            int w = g.param({ch, 1, k, k}, "w", true);
+            int b = g.param({ch, 1, 1}, "b", true);
+            Attrs a;
+            a.set("stride", stride);
+            a.set("pad", pad);
+            a.set("act", act);
+            int node = g.add(OpKind::DwConvBiasAct, {x, w, b}, std::move(a));
+            Tensor tx = Tensor::randn(g.node(x).shape, rng);
+            Tensor tw = Tensor::randn(g.node(w).shape, rng, 0.3f);
+            Tensor tb = Tensor::randn(g.node(b).shape, rng);
+            EXPECT_LT(maxRelDiff(runKernel(g, node, {tx, tw, tb}, ""),
+                                 runKernel(g, node, {tx, tw, tb}, "avx2")),
+                      1e-5f)
+                << "act " << act;
+        }
     }
 }
 
