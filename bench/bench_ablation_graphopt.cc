@@ -2,8 +2,9 @@
  * @file
  * Section 3.2 ablation: what each training-graph optimization
  * contributes — operator fusion, memory-aware reordering + in-place
- * update, Winograd binding for frozen convs, blocked GEMM. Both
- * host-measured step time and planner memory are reported.
+ * update, Winograd binding for frozen convs. Both host-measured step
+ * time and planner memory are reported. (GEMMs have no ablation: every
+ * GEMM runs the one GEMM kernel at every size.)
  *
  * Expected shape: each optimization individually worth a few
  * percent to ~1.2x (paper's claim), reordering dominating memory.
@@ -70,20 +71,18 @@ main()
     };
     CompileOptions all;
     CompileOptions none = all;
-    none.fuse = none.reorder = none.winograd = none.blocked = false;
+    none.fuse = none.reorder = none.winograd = false;
     CompileOptions no_fuse = all;
     no_fuse.fuse = false;
     CompileOptions no_reorder = all;
     no_reorder.reorder = false;
     CompileOptions no_wino = all;
     no_wino.winograd = false;
-    CompileOptions no_blocked = all;
-    no_blocked.blocked = false;
 
     std::vector<Config> configs = {
         {"all-opts", all},         {"no-fusion", no_fuse},
         {"no-reorder", no_reorder}, {"no-winograd", no_wino},
-        {"no-blocked", no_blocked}, {"none", none},
+        {"none", none},
     };
 
     printRow({"config", "step-ms", "vs-all", "kernels", "arena",

@@ -150,7 +150,6 @@ main()
     eager_like.fuse = false;
     eager_like.reorder = false;
     eager_like.winograd = false;
-    eager_like.blocked = false;
     eager_like.optim = OptimConfig::sgd(0.01);
 
     for (const DeviceModel &dev : DeviceModel::all()) {

@@ -1,11 +1,11 @@
 /**
  * @file
  * Kernel-variant microbenchmarks (google-benchmark): the Section 4.3
- * claims that backend switching pays — blocked vs naive GEMM,
- * im2col / Winograd vs direct convolution, fused vs unfused
- * conv+bias+relu, and the SIMD kernel tier (scalar vs "@avx2"/"@neon"
- * rows for GEMM, im2col conv, fused conv, int8 GEMM and int8
- * depthwise).
+ * claims that backend switching pays — the one GEMM at decode and
+ * prefill shapes, im2col / Winograd vs direct convolution, fused vs
+ * unfused conv+bias+relu, and the SIMD kernel tier (scalar vs
+ * "@avx2"/"@neon" rows for GEMM, im2col conv, fused conv, int8 GEMM
+ * and int8 depthwise).
  *
  * Tier rows register ONLY when this host's registry has the variant,
  * so a scalar-only machine emits a scalar-only JSON; the snapshot's
@@ -84,18 +84,24 @@ struct ConvFixture {
     }
 };
 
+/**
+ * The one GEMM, [m,k] x [k,n], at @p variant ("" scalar, or the bare
+ * tier name). Registered at the llama-proxy decode projections
+ * (1x128x128, 1x128x256, 1x256x128) and its 32-token prefill
+ * (32x128x128).
+ */
 void
 BM_MatMul(benchmark::State &state, const std::string &variant)
 {
-    int64_t n = state.range(0);
+    int64_t m = state.range(0), k = state.range(1), n = state.range(2);
     Rng rng(1);
     Graph g;
-    int a = g.input({n, n}, "a");
-    int b = g.input({n, n}, "b");
+    int a = g.input({m, k}, "a");
+    int b = g.input({k, n}, "b");
     int node = g.add(OpKind::MatMul, {a, b});
-    Tensor ta = Tensor::randn({n, n}, rng);
-    Tensor tb = Tensor::randn({n, n}, rng);
-    Tensor out({n, n});
+    Tensor ta = Tensor::randn({m, k}, rng);
+    Tensor tb = Tensor::randn({k, n}, rng);
+    Tensor out({m, n});
     KernelCtx ctx;
     ctx.node = &g.node(node);
     ctx.in = {ta.data(), tb.data()};
@@ -109,13 +115,23 @@ BM_MatMul(benchmark::State &state, const std::string &variant)
         fn(ctx);
         benchmark::DoNotOptimize(out.data());
     }
-    state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
+    state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
+}
+
+void
+gemmShapes(benchmark::internal::Benchmark *b)
+{
+    b->Args({1, 128, 128})
+        ->Args({1, 128, 256})
+        ->Args({1, 256, 128})
+        ->Args({32, 128, 128});
 }
 
 /**
- * Thread-scaling GEMM: shard the blocked kernel over output rows via
- * the pool, exactly as the partitioned executor does. Reports
- * GFLOP/s; compare thread counts for the parallel-runtime speedup.
+ * Thread-scaling GEMM: shard the GEMM the executor binds on this host
+ * (its tier, else scalar) over output rows via the pool, exactly as
+ * the partitioned executor does. Reports GFLOP/s; compare thread
+ * counts for the parallel-runtime speedup.
  */
 void
 BM_MatMulThreads(benchmark::State &state)
@@ -136,8 +152,10 @@ BM_MatMulThreads(benchmark::State &state)
     ctx.inShapes = {&g.node(a).shape, &g.node(b).shape};
     ctx.out = out.data();
     ctx.outShape = &g.node(node).shape;
-    KernelInfo info = lookupKernelInfo(OpKind::MatMul, "blocked");
-    WorkspaceSpec spec = kernelWorkspace(g, g.node(node), "blocked");
+    std::string variant =
+        resolveTierVariant(OpKind::MatMul, "", hostSimdTier());
+    KernelInfo info = lookupKernelInfo(OpKind::MatMul, variant);
+    WorkspaceSpec spec = kernelWorkspace(g, g.node(node), variant);
     ThreadPool *pool = HostDevice::instance().pool(threads);
     // Split by the REQUESTED thread count, not the pool's size — the
     // process-wide pool only grows, so a larger one may already exist.
@@ -233,12 +251,7 @@ BM_UnfusedConvBiasRelu(benchmark::State &state, const std::string &variant)
     }
 }
 
-BENCHMARK_CAPTURE(BM_MatMul, naive, std::string(""))
-    ->Arg(64)
-    ->Arg(128);
-BENCHMARK_CAPTURE(BM_MatMul, blocked, std::string("blocked"))
-    ->Arg(64)
-    ->Arg(128);
+BENCHMARK_CAPTURE(BM_MatMul, gemm, std::string(""))->Apply(gemmShapes);
 BENCHMARK(BM_MatMulThreads)
     ->Args({256, 1})
     ->Args({256, 2})
@@ -375,9 +388,9 @@ BM_QuantDwConv(benchmark::State &state, const std::string &variant)
  * decode bucket (4 streams x 4 heads, dim 128); B = 4 one stream.
  * Both ops in one graph; kernels are invoked directly, so the delta
  * is kernel work plus the chain's intermediate-buffer sweeps. The
- * chain's BatchMatMuls use the "" variant — at decode sizes the
- * scores tensor sits far below the blocked-GEMM threshold, so that
- * is exactly what the compiled decode plan binds.
+ * chain's BatchMatMuls run the one GEMM at @p gemm: "" for the scalar
+ * row, and the bare tier name for the "chain@<tier>" row, which is
+ * what an unfused compiled decode plan binds on that host.
  */
 struct AttnFixture {
     Graph g;
@@ -451,7 +464,7 @@ BM_FusedAttention(benchmark::State &state, const std::string &variant)
 }
 
 void
-BM_UnfusedAttention(benchmark::State &state)
+unfusedAttention(benchmark::State &state, const std::string &gemm)
 {
     int64_t B = state.range(0);
     AttnFixture f(B, 32, 32);
@@ -464,16 +477,16 @@ BM_UnfusedAttention(benchmark::State &state)
     KernelCtx cpv =
         f.make(f.pv, {f.probs.data(), f.v.data()}, f.out);
     DirectWorkspace w1, w2, w3, w4, w5;
-    w1.attach(cqk, f.g, f.g.node(f.qk), "");
+    w1.attach(cqk, f.g, f.g.node(f.qk), gemm);
     w2.attach(csc, f.g, f.g.node(f.sc), "");
     w3.attach(cad, f.g, f.g.node(f.ad), "");
     w4.attach(csm, f.g, f.g.node(f.sm), "");
-    w5.attach(cpv, f.g, f.g.node(f.pv), "");
-    KernelFn fqk = lookupKernel(OpKind::BatchMatMul, "");
+    w5.attach(cpv, f.g, f.g.node(f.pv), gemm);
+    KernelFn fqk = lookupKernel(OpKind::BatchMatMul, gemm);
     KernelFn fsc = lookupKernel(OpKind::Scale, "");
     KernelFn fad = lookupKernel(OpKind::Add, "");
     KernelFn fsm = lookupKernel(OpKind::Softmax, "");
-    KernelFn fpv = lookupKernel(OpKind::BatchMatMul, "");
+    KernelFn fpv = lookupKernel(OpKind::BatchMatMul, gemm);
     for (auto _ : state) {
         fqk(cqk);
         fsc(csc);
@@ -483,6 +496,12 @@ BM_UnfusedAttention(benchmark::State &state)
         benchmark::DoNotOptimize(f.out.data());
     }
     state.SetItemsProcessed(state.iterations() * B);
+}
+
+void
+BM_UnfusedAttention(benchmark::State &state)
+{
+    unfusedAttention(state, "");
 }
 
 BENCHMARK_CAPTURE(BM_FusedConvBiasRelu, im2col, std::string("im2col"))
@@ -545,8 +564,8 @@ BENCHMARK(BM_TraceOverhead)->Arg(0)->Arg(1);
  * SIMD-tier rows, registered at static init only when the host
  * registry actually has the tier variants (capability-gated
  * registration makes hasKernelVariant the probe). Row names embed the
- * variant ("BM_MatMul/blocked@avx2/128"), which is how the perf gate
- * recognizes tier-dependent rows.
+ * variant ("BM_MatMul/gemm@avx2/1/128/128"), which is how the perf
+ * gate recognizes tier-dependent rows.
  */
 struct SimdBenchRegistrar {
     SimdBenchRegistrar()
@@ -556,12 +575,13 @@ struct SimdBenchRegistrar {
         if (t == SimdTier::Scalar)
             return;
         std::string sfx = std::string("@") + simdTierName(t);
-        if (hasKernelVariant(OpKind::MatMul, "blocked" + sfx))
-            benchmark::RegisterBenchmark(
-                ("BM_MatMul/blocked" + sfx).c_str(), BM_MatMul,
-                "blocked" + sfx)
-                ->Arg(64)
-                ->Arg(128);
+        // The GEMM's tier candidate is the bare tier name (its base
+        // variant is ""), as for FusedAttention below.
+        std::string tier = simdTierName(t);
+        if (hasKernelVariant(OpKind::MatMul, tier))
+            benchmark::RegisterBenchmark(("BM_MatMul/gemm" + sfx).c_str(),
+                                         BM_MatMul, tier)
+                ->Apply(gemmShapes);
         if (hasKernelVariant(OpKind::Conv2d, "im2col" + sfx))
             benchmark::RegisterBenchmark(
                 ("BM_ConvVariant/im2col" + sfx).c_str(),
@@ -597,10 +617,16 @@ struct SimdBenchRegistrar {
         // FusedAttention's tier candidate is the bare tier name (the
         // base variant is ""). The row still embeds "@avx2"/"@neon"
         // so the perf gate's tier detection recognizes it.
-        if (hasKernelVariant(OpKind::FusedAttention, simdTierName(t)))
+        if (hasKernelVariant(OpKind::FusedAttention, tier))
             benchmark::RegisterBenchmark(
                 ("BM_FusedAttention/base" + sfx).c_str(),
-                BM_FusedAttention, std::string(simdTierName(t)))
+                BM_FusedAttention, tier)
+                ->Arg(4)
+                ->Arg(16);
+        if (hasKernelVariant(OpKind::BatchMatMul, tier))
+            benchmark::RegisterBenchmark(
+                ("BM_UnfusedAttention/chain" + sfx).c_str(),
+                unfusedAttention, tier)
                 ->Arg(4)
                 ->Arg(16);
     }

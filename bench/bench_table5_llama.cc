@@ -88,7 +88,6 @@ main()
     eager_like.fuse = false;
     eager_like.reorder = false;
     eager_like.winograd = false;
-    eager_like.blocked = false;
     CompileOptions opt;
 
     CompiledGraph py_full = compileGraphOnly(

@@ -58,10 +58,11 @@ Three file shapes are understood, auto-detected:
   same tolerance. Vanished baseline rows fail.
 
   The gbench gate also pairs rows: every fresh BM_FusedAttention
-  tier row must beat the BM_UnfusedAttention row at the same shape
-  arg by >= 1.5x (the serving-bound comparison — the chain has no
-  tier variants at decode sizes), the scalar base row must never
-  lose to the chain, every fresh BM_FusedConvBiasRelu tier row must
+  tier row must beat the BM_UnfusedAttention chain row of the same
+  tier at the same shape arg by >= 1.5x (the serving-bound
+  comparison — the chain's GEMMs run the same tier), the scalar base
+  row must never lose to the scalar chain, every fresh
+  BM_FusedConvBiasRelu tier row must
   be at least as fast as its BM_UnfusedConvBiasRelu counterpart
   (same variant and shape), and a missing counterpart fails (the
   claim would be unverifiable).
@@ -107,7 +108,7 @@ def rows_of(doc):
 
 
 def row_tier(name):
-    """SIMD tier a row depends on ("BM_MatMul/blocked@avx2/128" ->
+    """SIMD tier a row depends on ("BM_MatMul/gemm@avx2/1/128/128" ->
     "avx2"); None for tier-independent rows."""
     for tier in ("avx2", "neon"):
         if "@" + tier in name:
@@ -117,11 +118,11 @@ def row_tier(name):
 
 # The fused-attention kernel claim at the decode shape: the fused
 # kernel the executor binds on a SIMD host (the tier row) must beat
-# the five-dispatch unfused chain by at least this factor. The chain
-# has no tier variants at decode sizes (the scores tensor sits below
-# the blocked-GEMM threshold), so tier-fused vs scalar-chain is
-# exactly the serving comparison. Same-snapshot pairing, so machine
-# speed cancels.
+# the five-dispatch unfused chain by at least this factor. The chain's
+# two BatchMatMuls run the one GEMM, which has a tier at every size,
+# so the tier row is paired with the chain at the same tier — what an
+# unfused decode plan binds on that host. Same-snapshot pairing, so
+# machine speed cancels.
 MIN_FUSED_ATTN_SPEEDUP = 1.5
 # The scalar fused kernel's contract is bit-exactness with the chain,
 # not speed — but it strictly eliminates the chain's intermediate
@@ -134,8 +135,12 @@ MIN_FUSED_CONV_SPEEDUP = 1.0
 
 
 def unfused_counterpart(name):
-    """BM_FusedAttention/base[@tier]/16 -> BM_UnfusedAttention/16."""
-    return "BM_UnfusedAttention/" + name.split("/")[-1]
+    """BM_FusedAttention/base/16 -> BM_UnfusedAttention/16 and
+    BM_FusedAttention/base@avx2/16 -> BM_UnfusedAttention/chain@avx2/16
+    (the chain at the fused row's tier)."""
+    tier = row_tier(name)
+    chain = "chain@" + tier + "/" if tier else ""
+    return "BM_UnfusedAttention/" + chain + name.split("/")[-1]
 
 
 def check_gbench(base, fresh, tolerance):

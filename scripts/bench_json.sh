@@ -54,7 +54,7 @@ echo "wrote BENCH_decode.json"
 
 if [ -x "$BUILD"/bench_kernels ]; then
     # Short min_time: this snapshots relative kernel throughput
-    # (fp32 vs blocked vs winograd vs int8), not absolute numbers.
+    # (scalar vs tier GEMM vs winograd vs int8), not absolute numbers.
     "$BUILD"/bench_kernels --json BENCH_kernels.json \
         --benchmark_min_time=0.05 > /dev/null
     echo "wrote BENCH_kernels.json"

@@ -246,7 +246,6 @@ compileGraphOnly(const Graph &forward, int loss_id,
     //    same honest arena.
     BackendOptions bopt;
     bopt.enableWinograd = options.winograd;
-    bopt.enableBlocked = options.blocked;
     out.variants = switchBackends(g, bopt, &report.backend);
 
     // Surface kernel-library gaps: a selected variant that is not
@@ -397,7 +396,6 @@ compileInferenceGraph(const Graph &forward,
 
     BackendOptions bopt;
     bopt.enableWinograd = options.winograd;
-    bopt.enableBlocked = options.blocked;
     out.variants = switchBackends(g, bopt, &out.report.backend);
     out.order = reorderForMemory(g);
     out.report.flopsPerStep = g.totalFlops();

@@ -35,7 +35,6 @@ struct CompileOptions {
                                ///< the parity tests/benches compare to
     bool reorder = true;       ///< memory-aware scheduling + in-place
     bool winograd = true;      ///< bind frozen 3x3 convs to Winograd
-    bool blocked = true;       ///< blocked GEMM variant
     bool foldConstants = true;
     OptimConfig optim = OptimConfig::sgd(0.01);
     /**

@@ -4,10 +4,10 @@
  * the conv-family GEMM drivers, and the depthwise kernels.
  *
  * Conv2d "im2col", ConvBiasAct, Conv2dBwdInput and Conv2dBwdWeight
- * all run one GEMM with a bias+act epilogue (kutil::ConvGemm). The
- * drivers here own unfolding, tiling and partitioning; the scalar
- * tier and each SIMD tier (simd_avx2.cc, simd_neon.cc) pass in only
- * their GEMM microkernel.
+ * all run the one fp32 GEMM with a bias+act epilogue (kutil::Gemm,
+ * matmul.cc). The drivers here own unfolding, tiling and
+ * partitioning; the scalar tier and each SIMD tier (simd_avx2.cc,
+ * simd_neon.cc) pass in only their GEMM microkernel.
  *
  *  - Forward: shards are (image, column tile) pairs. A pointwise conv
  *    (1x1, stride 1, pad 0) reads its input image in place as the
@@ -75,19 +75,19 @@ conv2dNaive(const KernelCtx &c)
 void
 convGemmK(const KernelCtx &c)
 {
-    kutil::convForward(c, kutil::convGemmScalar);
+    kutil::convForward(c, kutil::gemmScalar);
 }
 
 void
 convBwdInputK(const KernelCtx &c)
 {
-    kutil::convBwdInput(c, kutil::convGemmScalar);
+    kutil::convBwdInput(c, kutil::gemmScalar);
 }
 
 void
 convBwdWeightK(const KernelCtx &c)
 {
-    kutil::convBwdWeight(c, kutil::convGemmScalar);
+    kutil::convBwdWeight(c, kutil::gemmScalar);
 }
 
 void
@@ -331,53 +331,6 @@ nodeGeom(const Graph &g, const Node &n)
 
 } // namespace
 
-namespace {
-
-/** Rows [r0, r0 + R) of the scalar GEMM: one pass over each B row
- *  feeds all R output rows, and every element still adds its products
- *  one at a time in ascending k. */
-template <int R>
-void
-scalarRows(const ConvGemm &g, int64_t r0)
-{
-    float *crow[R];
-    for (int r = 0; r < R; ++r) {
-        crow[r] = g.c + (r0 + r) * g.ldc;
-        if (!g.accumulate)
-            std::fill(crow[r], crow[r] + g.n,
-                      g.bias ? g.bias[r0 + r] : 0.0f);
-    }
-    const float *arow = g.a + r0 * g.ars;
-    for (int64_t kk = 0; kk < g.k; ++kk) {
-        float av[R];
-        for (int r = 0; r < R; ++r)
-            av[r] = arow[r * g.ars + kk * g.acs];
-        const float *brow = g.b + kk * g.ldb;
-        for (int64_t j = 0; j < g.n; ++j) {
-            float bv = brow[j];
-            for (int r = 0; r < R; ++r)
-                crow[r][j] += av[r] * bv;
-        }
-    }
-    if (g.act != kActNone) {
-        for (int r = 0; r < R; ++r)
-            for (int64_t j = 0; j < g.n; ++j)
-                crow[r][j] = actOf(g.act, crow[r][j]);
-    }
-}
-
-} // namespace
-
-void
-convGemmScalar(const ConvGemm &g)
-{
-    int64_t r0 = 0;
-    for (; r0 + 4 <= g.m; r0 += 4)
-        scalarRows<4>(g, r0);
-    for (; r0 < g.m; ++r0)
-        scalarRows<1>(g, r0);
-}
-
 int64_t
 convTiles(const KernelCtx &c)
 {
@@ -386,12 +339,12 @@ convTiles(const KernelCtx &c)
 }
 
 void
-convForward(const KernelCtx &c, ConvGemmFn gemm)
+convForward(const KernelCtx &c, GemmFn gemm)
 {
     ConvGeom d = convGeomOf(*c.inShapes[0], *c.inShapes[1], *c.outShape,
                             c.node->attrs);
     int64_t k = d.k(), cols = d.cols(), tiles = d.tiles();
-    ConvGemm g;
+    Gemm g;
     g.a = c.in[1]; // W [co, k]
     g.ars = k;
     g.acs = 1;
@@ -419,13 +372,13 @@ convForward(const KernelCtx &c, ConvGemmFn gemm)
 }
 
 void
-convBwdInput(const KernelCtx &c, ConvGemmFn gemm)
+convBwdInput(const KernelCtx &c, GemmFn gemm)
 {
     ConvGeom d = convGeomOf(*c.outShape, *c.inShapes[0], *c.inShapes[1],
                             c.node->attrs);
     int64_t k = d.k(), cols = d.cols(), image = d.ci * d.h * d.w;
     int64_t lo = c.begin, hi = partitionEnd(c, d.n);
-    ConvGemm g;
+    Gemm g;
     g.a = c.in[0]; // W^T: A(r, co) = W[co, r]
     g.ars = 1;
     g.acs = k;
@@ -456,7 +409,7 @@ convBwdInput(const KernelCtx &c, ConvGemmFn gemm)
 }
 
 void
-convBwdWeight(const KernelCtx &c, ConvGemmFn gemm)
+convBwdWeight(const KernelCtx &c, GemmFn gemm)
 {
     ConvGeom d = convGeomOf(*c.inShapes[0],
                             c.node->attrs.getInts("wshape"),
@@ -470,7 +423,7 @@ convBwdWeight(const KernelCtx &c, ConvGemmFn gemm)
     // Rows [lo, hi) of dW += dY_n[lo:hi, tile] x colT_tile, images and
     // tiles ascending: every dW entry sums its (n, pixel) terms in the
     // same order whatever the shard bounds.
-    ConvGemm g;
+    Gemm g;
     g.ars = cols;
     g.acs = 1;
     g.b = c.workspace;

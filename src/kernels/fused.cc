@@ -1,17 +1,16 @@
 /**
  * @file
- * Fused kernels created by the operator-fusion pass: DwConv+Bias+Act
- * and MatMul+Bias+Act. Fusion removes the intermediate activation
- * buffers and two kernel launches per linear layer (paper Section
- * 3.2, "Operator Fusion"). Both partition the same way as their
- * unfused counterparts: the depthwise form over the flattened (image,
- * channel) pairs, the GEMM form over output rows.
+ * The fused DwConv+Bias+Act kernel created by the operator-fusion
+ * pass. Fusion removes the intermediate activation buffers and two
+ * kernel launches per layer (paper Section 3.2, "Operator Fusion").
+ * It partitions like the unfused depthwise conv, over the flattened
+ * (image, channel) pairs.
  *
- * Conv+Bias+Act is not here: it is the conv-family GEMM with a
- * bias+act epilogue (conv2d.cc), so it shares Conv2d's "im2col"
- * kernel and every SIMD tier of it. Winograd registers its own
- * ConvBiasAct variant (winograd.cc). The activation math of every
- * epilogue is kutil::actOf.
+ * Conv+Bias+Act and MatMul+Bias+Act are not here: they are the one
+ * fp32 GEMM with a bias+act epilogue (conv2d.cc, matmul.cc), so they
+ * share Conv2d's "im2col" and MatMul's kernels and every SIMD tier of
+ * them. Winograd registers its own ConvBiasAct variant (winograd.cc).
+ * The activation math of every epilogue is kutil::actOf.
  */
 
 #include "kernels/kernel.h"
@@ -62,34 +61,6 @@ dwConvBiasActK(const KernelCtx &c)
     }
 }
 
-void
-matmulBiasActK(const KernelCtx &c)
-{
-    bool ta = c.node->attrs.getInt("transA", 0) != 0;
-    bool tb = c.node->attrs.getInt("transB", 0) != 0;
-    int64_t act = c.node->attrs.getInt("act", kActNone);
-    const Shape &as = *c.inShapes[0];
-    const Shape &bs = *c.inShapes[1];
-    int64_t m = ta ? as[1] : as[0];
-    int64_t k = ta ? as[0] : as[1];
-    int64_t n = tb ? bs[0] : bs[1];
-    auto a_at = [&](int64_t i, int64_t kk) {
-        return ta ? c.in[0][kk * m + i] : c.in[0][i * k + kk];
-    };
-    auto b_at = [&](int64_t kk, int64_t j) {
-        return tb ? c.in[1][j * k + kk] : c.in[1][kk * n + j];
-    };
-    int64_t hi = partitionEnd(c, m);
-    for (int64_t i = c.begin; i < hi; ++i) {
-        for (int64_t j = 0; j < n; ++j) {
-            float acc = c.in[2][j];
-            for (int64_t kk = 0; kk < k; ++kk)
-                acc += a_at(i, kk) * b_at(kk, j);
-            c.out[i * n + j] = actOf(act, acc);
-        }
-    }
-}
-
 } // namespace
 
 namespace detail {
@@ -99,8 +70,6 @@ registerFusedKernels()
 {
     registerKernel(OpKind::DwConvBiasAct, "", dwConvBiasActK,
                    {part::outDim01, 1});
-    registerKernel(OpKind::MatMulBiasAct, "", matmulBiasActK,
-                   {part::outDim0, 8});
 }
 
 } // namespace detail

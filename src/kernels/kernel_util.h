@@ -1,12 +1,13 @@
 /**
  * @file
  * Helpers shared between the scalar kernel TUs and their SIMD tier
- * counterparts (simd_avx2.cc / simd_neon.cc): GEMM operand views,
- * the int8 requantization context, activation math, the im2col
- * unfold, and the fp32 conv-family GEMM drivers. A SIMD variant must agree with its scalar base on all of
- * this — packing layout, padding values, requantization rounding —
- * for the tier contract (int8 bit-exact, fp32 within tolerance) to
- * hold, so the definitions live in one place.
+ * counterparts (simd_avx2.cc / simd_neon.cc): the int8
+ * requantization context, activation math, the im2col unfold, the
+ * one fp32 GEMM microkernel interface, and the drivers that run the
+ * conv family on it. A SIMD variant must agree with its scalar base
+ * on all of this — packing layout, padding values, requantization
+ * rounding — for the tier contract (int8 bit-exact, fp32 within
+ * tolerance) to hold, so the definitions live in one place.
  */
 
 #pragma once
@@ -24,8 +25,8 @@
 namespace pe {
 namespace kutil {
 
-/** Blocked-GEMM panel edge; blockedWorkspace sizes the packed panel
- *  from this, and the AVX2 microkernel tiles inside it. */
+/** Edge of the packed B-transpose panel of the fp32 GEMM: a
+ *  transB GEMM packs at most kGemmBlock x kGemmBlock floats at once. */
 constexpr int64_t kGemmBlock = 48;
 
 inline float
@@ -56,27 +57,6 @@ actOf(int64_t act, float v)
       default:
         return v;
     }
-}
-
-/** Logical (post-transpose) view of a GEMM operand. */
-struct GemmView {
-    const float *data;
-    int64_t rows, cols; ///< logical (post-transpose) extents
-    bool trans;         ///< storage is [cols, rows]
-
-    float
-    at(int64_t r, int64_t c) const
-    {
-        return trans ? data[c * rows + r] : data[r * cols + c];
-    }
-};
-
-inline GemmView
-gemmViewOf(const float *data, const Shape &s, bool trans)
-{
-    if (trans)
-        return {data, s[1], s[0], true};
-    return {data, s[0], s[1], false};
 }
 
 /** Flattened-index stride/extent of the per-channel axis. */
@@ -174,13 +154,63 @@ im2colUnfold(const T *xn, T *col, int64_t ci, int64_t h, int64_t w,
     }
 }
 
-// ---- the fp32 conv family as one GEMM -------------------------------
+// ---- the one fp32 GEMM ----------------------------------------------
 //
-// Conv2d ("im2col"), ConvBiasAct, Conv2dBwdInput and Conv2dBwdWeight
-// all lower onto one GEMM with a bias+act epilogue. The drivers below
-// (conv2d.cc) own the unfold, tiling and partitioning; each SIMD tier
-// supplies only the GEMM microkernel, so every tier shards, tiles and
-// sizes its workspace identically by construction.
+// MatMul, BatchMatMul, MatMulBiasAct and the conv family (Conv2d
+// "im2col", ConvBiasAct, Conv2dBwdInput, Conv2dBwdWeight) all run one
+// GEMM with a bias+act epilogue. The drivers below (matmul.cc,
+// conv2d.cc) own operand layout, packing, tiling and partitioning;
+// each SIMD tier supplies only the GEMM microkernel, so every tier
+// shards, tiles and sizes its workspace identically by construction.
+
+/**
+ * One GEMM with its epilogue:
+ *
+ *     C[r, j] = act(init[r, j] + sum_kk A(r, kk) * B[kk, j])
+ *
+ * for r < m, j < n, kk ascending. A is addressed through a row and a
+ * column stride, so a matrix and its transpose are both views. The
+ * initial value is C itself when @c accumulate is set, else the bias
+ * (bias[r], or bias[j] with @c colBias) or zero. The scalar tier adds
+ * the products one at a time in that order; the SIMD tiers fuse each
+ * multiply-add. Either way an element's result depends only on its
+ * own row of A and column of B, never on m, n or where the tile
+ * starts, so splitting a GEMM by rows, columns or k (through
+ * @c accumulate) reproduces it bit for bit.
+ */
+struct Gemm {
+    const float *a;
+    int64_t ars, acs; ///< A(r, kk) = a[r * ars + kk * acs]
+    const float *b;
+    int64_t ldb;
+    float *c;
+    int64_t ldc;
+    int64_t m, n, k;
+    const float *bias = nullptr;
+    bool colBias = false; ///< bias indexed by column, not row
+    bool accumulate = false;
+    int64_t act = kActNone;
+};
+
+using GemmFn = void (*)(const Gemm &);
+
+/** The scalar tier's GEMM: the reference every tier is tested to. */
+void gemmScalar(const Gemm &g);
+
+/**
+ * MatMul / MatMulBiasAct over output-row shards, BatchMatMul over
+ * batch shards. transA is A's strides; B is read in place unless
+ * transB, which packs Bᵀ one kGemmBlock² panel at a time into the
+ * shard's workspace. MatMulBiasAct starts from its per-column bias
+ * and applies "act" on the last k panel.
+ */
+void matmul(const KernelCtx &c, GemmFn gemm);
+
+/** Per-shard workspace of matmul(): one kGemmBlock² Bᵀ panel for a
+ *  transB GEMM, none otherwise. */
+WorkspaceSpec matmulWorkspace(const Graph &g, const Node &n);
+
+// ---- the conv family on the GEMM -------------------------------------
 
 /** Output pixels per column tile. Forward shards are (image, column
  *  tile) pairs, and a k x k conv unfolds one tile at a time, so the
@@ -216,42 +246,13 @@ convGeomOf(const Shape &x, const Shape &w, const Shape &y,
             attrs.getInt("stride", 1), attrs.getInt("pad", 0)};
 }
 
-/**
- * One GEMM of the conv family, with its epilogue:
- *
- *     C[r, j] = act(init[r, j] + sum_kk A(r, kk) * B[kk, j])
- *
- * for r < m, j < n, kk ascending. A is addressed through a row and a
- * column stride, so a weight and its transpose are both views. The
- * initial value is C itself when @c accumulate is set, else bias[r]
- * (bias non-null) or zero. The scalar tier adds the products one at a
- * time in that order; the SIMD tiers fuse each multiply-add.
- */
-struct ConvGemm {
-    const float *a;
-    int64_t ars, acs; ///< A(r, kk) = a[r * ars + kk * acs]
-    const float *b;
-    int64_t ldb;
-    float *c;
-    int64_t ldc;
-    int64_t m, n, k;
-    const float *bias = nullptr;
-    bool accumulate = false;
-    int64_t act = kActNone;
-};
-
-using ConvGemmFn = void (*)(const ConvGemm &);
-
-/** The scalar tier's GEMM: the reference every tier is tested to. */
-void convGemmScalar(const ConvGemm &g);
-
 /** Conv2d / ConvBiasAct over (image, column tile) shards. */
-void convForward(const KernelCtx &c, ConvGemmFn gemm);
+void convForward(const KernelCtx &c, GemmFn gemm);
 /** dx_n = col2im(W^T dY_n), sharded over images. */
-void convBwdInput(const KernelCtx &c, ConvGemmFn gemm);
+void convBwdInput(const KernelCtx &c, GemmFn gemm);
 /** dW += dY_n col_n^T in ascending n, sharded over the (limitCo)
  *  output channels. */
-void convBwdWeight(const KernelCtx &c, ConvGemmFn gemm);
+void convBwdWeight(const KernelCtx &c, GemmFn gemm);
 
 /** Partition extent of convForward: images x column tiles. */
 int64_t convTiles(const KernelCtx &c);
@@ -268,15 +269,6 @@ WorkspaceSpec convGemmWorkspace(const Graph &g, const Node &n);
 // at compile time, and the bind-time tier switch (either direction)
 // reuses that placement. Sharing the WorkspaceFn bodies makes the
 // equality structural.
-
-/** One packed B panel per shard (blocked / AVX2 / NEON GEMM). */
-inline WorkspaceSpec
-blockedGemmWorkspace(const Graph &, const Node &)
-{
-    WorkspaceSpec spec;
-    spec.bytesPerShard = kGemmBlock * kGemmBlock * 4;
-    return spec;
-}
 
 /** Packed i8 weight panel of the int8 GEMM ([N, K] rows). */
 inline WorkspaceSpec

@@ -1,13 +1,13 @@
 /**
  * @file
- * AVX2/FMA kernel tier: the fp32 panel GEMM, the fp32 conv-family
- * GEMM microkernel with its bias+act epilogue (Conv2d "im2col",
+ * AVX2/FMA kernel tier: the fp32 GEMM microkernel with its bias+act
+ * epilogue (MatMul, BatchMatMul, MatMulBiasAct, Conv2d "im2col",
  * ConvBiasAct, and both conv backward ops), the fp32 depthwise
  * DwConvBiasAct, fused attention, the int8 GEMM with vectorized
- * requantization, and the int8 conv and depthwise conv. Registered as "<base>@avx2" variants of the
- * scalar kernels, with IDENTICAL partition domains and workspace
- * declarations (kernel_util.h), so the executor can switch tiers at
- * bind time against one memory plan.
+ * requantization, and the int8 conv and depthwise conv. Registered as
+ * "<base>@avx2" variants of the scalar kernels, with IDENTICAL
+ * partition domains and workspace declarations (kernel_util.h), so the
+ * executor can switch tiers at bind time against one memory plan.
  *
  * Numerics contract (README "Kernel tiers"):
  *  - int8 kernels are BIT-EXACT to the scalar "int8" tier: int32
@@ -17,9 +17,9 @@
  *    Activations beyond relu (gelu/silu) requantize through the
  *    scalar emit path, so exactness never depends on vector
  *    transcendental approximations.
- *  - fp32 kernels use FMA (one rounding per multiply-add) and
- *    per-panel partial sums, so results differ from scalar in the
- *    last bits: within 1e-5 relative (asserted by test_simd).
+ *  - fp32 kernels use FMA (one rounding per multiply-add), so results
+ *    differ from scalar in the last bits: within 1e-5 relative
+ *    (asserted by test_simd).
  *    Thread-count invariance still holds — every output element's
  *    accumulation order is independent of the shard bounds.
  *
@@ -35,6 +35,7 @@
 
 #if !defined(PE_NO_SIMD) && (defined(__x86_64__) || defined(__i386__))
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <immintrin.h>
@@ -45,114 +46,12 @@
 namespace pe {
 namespace {
 
-using kutil::GemmView;
 using kutil::Requant;
 using kutil::requantOf;
 
-constexpr int64_t kBlock = kutil::kGemmBlock;
+// ---- the fp32 GEMM (bias+act epilogue) --------------------------------
 
-// ---- fp32 panel GEMM --------------------------------------------------
-
-/**
- * Blocked GEMM with an 8-row x 8-column FMA register tile over the
- * same packed-B panel layout (and workspace) as the scalar "blocked"
- * kernel. Accumulators live in ymm registers across the panel's
- * k-loop; each panel's partial sum is added to the output once.
- */
-void
-gemmAvx2(const GemmView &a, const GemmView &b, float *out, int64_t r0,
-         int64_t r1, float *ws)
-{
-    int64_t n = b.cols, kk = a.cols;
-    std::memset(out + r0 * n, 0, sizeof(float) * (r1 - r0) * n);
-    for (int64_t k0 = 0; k0 < kk; k0 += kBlock) {
-        int64_t k1 = std::min(k0 + kBlock, kk);
-        for (int64_t j0 = 0; j0 < n; j0 += kBlock) {
-            int64_t j1 = std::min(j0 + kBlock, n);
-            int64_t jw = j1 - j0;
-            // Pack B[k0:k1, j0:j1] exactly like the scalar kernel.
-            for (int64_t k = k0; k < k1; ++k) {
-                float *dst = ws + (k - k0) * jw;
-                for (int64_t j = j0; j < j1; ++j)
-                    dst[j - j0] = b.at(k, j);
-            }
-            for (int64_t i0 = r0; i0 < r1; i0 += 8) {
-                int64_t rows = std::min<int64_t>(8, r1 - i0);
-                int64_t j = 0;
-                for (; j + 8 <= jw; j += 8) {
-                    __m256 acc[8];
-                    for (int64_t r = 0; r < rows; ++r)
-                        acc[r] = _mm256_setzero_ps();
-                    for (int64_t k = k0; k < k1; ++k) {
-                        __m256 bv =
-                            _mm256_loadu_ps(ws + (k - k0) * jw + j);
-                        for (int64_t r = 0; r < rows; ++r) {
-                            __m256 av =
-                                _mm256_set1_ps(a.at(i0 + r, k));
-                            acc[r] = _mm256_fmadd_ps(av, bv, acc[r]);
-                        }
-                    }
-                    for (int64_t r = 0; r < rows; ++r) {
-                        float *orow = out + (i0 + r) * n + j0 + j;
-                        _mm256_storeu_ps(
-                            orow,
-                            _mm256_add_ps(_mm256_loadu_ps(orow),
-                                          acc[r]));
-                    }
-                }
-                // Column tail: plain scalar mul+add (contract off).
-                for (; j < jw; ++j) {
-                    for (int64_t r = 0; r < rows; ++r) {
-                        float s = 0.0f;
-                        for (int64_t k = k0; k < k1; ++k)
-                            s += a.at(i0 + r, k) *
-                                 ws[(k - k0) * jw + j];
-                        out[(i0 + r) * n + j0 + j] += s;
-                    }
-                }
-            }
-        }
-    }
-}
-
-GemmView
-viewOf(const float *data, const Shape &s, bool trans)
-{
-    return kutil::gemmViewOf(data, s, trans);
-}
-
-void
-matmulAvx2K(const KernelCtx &c)
-{
-    bool ta = c.node->attrs.getInt("transA", 0) != 0;
-    bool tb = c.node->attrs.getInt("transB", 0) != 0;
-    GemmView a = viewOf(c.in[0], *c.inShapes[0], ta);
-    GemmView b = viewOf(c.in[1], *c.inShapes[1], tb);
-    gemmAvx2(a, b, c.out, c.begin, partitionEnd(c, a.rows),
-             c.workspace);
-}
-
-void
-batchMatmulAvx2K(const KernelCtx &c)
-{
-    bool ta = c.node->attrs.getInt("transA", 0) != 0;
-    bool tb = c.node->attrs.getInt("transB", 0) != 0;
-    const Shape &as = *c.inShapes[0];
-    const Shape &bs = *c.inShapes[1];
-    int64_t batch = as[0];
-    int64_t a_stride = as[1] * as[2];
-    int64_t b_stride = bs[1] * bs[2];
-    int64_t o_stride = (*c.outShape)[1] * (*c.outShape)[2];
-    for (int64_t n = c.begin; n < partitionEnd(c, batch); ++n) {
-        GemmView a = viewOf(c.in[0] + n * a_stride, {as[1], as[2]}, ta);
-        GemmView b = viewOf(c.in[1] + n * b_stride, {bs[1], bs[2]}, tb);
-        gemmAvx2(a, b, c.out + n * o_stride, 0, a.rows, c.workspace);
-    }
-}
-
-// ---- fp32 conv-family GEMM (bias+act epilogue) -----------------------
-
-using kutil::ConvGemm;
+using kutil::Gemm;
 
 constexpr int kMr = 6; ///< register-tile rows (6 x 2 ymm accumulators)
 
@@ -166,7 +65,7 @@ laneMask(int64_t n)
 
 /**
  * One R-row x (8*NV)-column register tile of C at (r0, j0). The
- * accumulators start at C (accumulate), the row's bias, or zero, take
+ * accumulators start at C (accumulate), the bias, or zero, take
  * one FMA per k step, and leave through the epilogue: relu is a max
  * on the registers, gelu/silu run kutil::actOf on the stored tile so
  * every tier shares one copy of the transcendental math. Masked tiles
@@ -174,19 +73,23 @@ laneMask(int64_t n)
  */
 template <int R, int NV, bool Masked>
 void
-convTileAvx2(const ConvGemm &g, int64_t r0, int64_t j0,
+gemmTileAvx2(const Gemm &g, int64_t r0, int64_t j0,
              const __m256i *mask)
 {
     __m256 acc[R][NV];
     float *cp = g.c + r0 * g.ldc + j0;
 #pragma GCC unroll 6
     for (int r = 0; r < R; ++r) {
-#pragma GCC unroll 2
+#pragma GCC unroll 4
         for (int v = 0; v < NV; ++v) {
             float *p = cp + r * g.ldc + 8 * v;
+            const float *bias = g.bias + j0 + 8 * v;
             if (g.accumulate)
                 acc[r][v] = Masked ? _mm256_maskload_ps(p, mask[v])
                                    : _mm256_loadu_ps(p);
+            else if (g.bias && g.colBias)
+                acc[r][v] = Masked ? _mm256_maskload_ps(bias, mask[v])
+                                   : _mm256_loadu_ps(bias);
             else
                 acc[r][v] =
                     _mm256_set1_ps(g.bias ? g.bias[r0 + r] : 0.0f);
@@ -197,21 +100,21 @@ convTileAvx2(const ConvGemm &g, int64_t r0, int64_t j0,
     const int64_t k = g.k, ars = g.ars, acs = g.acs, ldb = g.ldb;
     for (int64_t kk = 0; kk < k; ++kk, ap += acs, bp += ldb) {
         __m256 bv[NV];
-#pragma GCC unroll 2
+#pragma GCC unroll 4
         for (int v = 0; v < NV; ++v)
             bv[v] = Masked ? _mm256_maskload_ps(bp + 8 * v, mask[v])
                            : _mm256_loadu_ps(bp + 8 * v);
 #pragma GCC unroll 6
         for (int r = 0; r < R; ++r) {
             __m256 av = _mm256_broadcast_ss(ap + r * ars);
-#pragma GCC unroll 2
+#pragma GCC unroll 4
             for (int v = 0; v < NV; ++v)
                 acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
         }
     }
 #pragma GCC unroll 6
     for (int r = 0; r < R; ++r) {
-#pragma GCC unroll 2
+#pragma GCC unroll 4
         for (int v = 0; v < NV; ++v) {
             __m256 o = acc[r][v];
             // max(NaN, 0) picks 0, as actOf's relu does.
@@ -234,67 +137,89 @@ convTileAvx2(const ConvGemm &g, int64_t r0, int64_t j0,
     }
 }
 
-using ConvTileFn = void (*)(const ConvGemm &, int64_t, int64_t,
+using GemmTileFn = void (*)(const Gemm &, int64_t, int64_t,
                             const __m256i *);
 
-template <int NV, bool Masked>
-ConvTileFn
-convTileFor(int64_t rows)
+/** The tile for R rows of a strip @p jn (1..32) columns wide: as many
+ *  8-lane vectors as cover it, masked when the last one is partial. */
+template <int R>
+GemmTileFn
+tileOf(int64_t jn)
 {
-    switch (rows) {
-      case 1: return convTileAvx2<1, NV, Masked>;
-      case 2: return convTileAvx2<2, NV, Masked>;
-      case 3: return convTileAvx2<3, NV, Masked>;
-      case 4: return convTileAvx2<4, NV, Masked>;
-      case 5: return convTileAvx2<5, NV, Masked>;
-      default: return convTileAvx2<kMr, NV, Masked>;
+    bool masked = jn % 8 != 0;
+    switch ((jn + 7) / 8) {
+      case 1: return masked ? gemmTileAvx2<R, 1, true>
+                            : gemmTileAvx2<R, 1, false>;
+      case 2: return masked ? gemmTileAvx2<R, 2, true>
+                            : gemmTileAvx2<R, 2, false>;
+      case 3: return masked ? gemmTileAvx2<R, 3, true>
+                            : gemmTileAvx2<R, 3, false>;
+      default: return masked ? gemmTileAvx2<R, 4, true>
+                             : gemmTileAvx2<R, 4, false>;
     }
 }
 
-/** The conv-family GEMM: 16-column strips (one masked strip for the
- *  tail), each swept by 6-row register tiles. Every element's k-order
- *  is fixed by its position, never by the shard bounds. */
-void
-convGemmAvx2(const ConvGemm &g)
+GemmTileFn
+tileFor(int64_t rows, int64_t jn)
 {
-    for (int64_t j0 = 0; j0 < g.n; j0 += 16) {
-        int64_t jn = std::min<int64_t>(16, g.n - j0);
-        __m256i mask[2] = {laneMask(std::min<int64_t>(jn, 8)),
-                           laneMask(std::max<int64_t>(jn - 8, 0))};
-        ConvTileFn full = jn == 16 ? convTileFor<2, false>(kMr)
-                          : jn > 8 ? convTileFor<2, true>(kMr)
-                          : jn == 8 ? convTileFor<1, false>(kMr)
-                                    : convTileFor<1, true>(kMr);
+    switch (rows) {
+      case 1: return tileOf<1>(jn);
+      case 2: return tileOf<2>(jn);
+      case 3: return tileOf<3>(jn);
+      case 4: return tileOf<4>(jn);
+      case 5: return tileOf<5>(jn);
+      default: return tileOf<kMr>(jn);
+    }
+}
+
+/**
+ * The fp32 GEMM: column strips swept by 6-row register tiles (6 x 2
+ * ymm accumulators). A GEMV-shaped GEMM (one or two rows, as in
+ * decode) has too few rows to hide the FMA latency, so it takes
+ * 32-column strips instead: four independent accumulators per row.
+ * Every element's k-order is fixed by its position, never by the
+ * strip width or the shard bounds.
+ */
+void
+gemmAvx2(const Gemm &g)
+{
+    const int64_t strip = g.m <= 2 ? 32 : 16;
+    for (int64_t j0 = 0; j0 < g.n; j0 += strip) {
+        int64_t jn = std::min(strip, g.n - j0);
+        __m256i mask[4];
+        for (int v = 0; v < 4; ++v)
+            mask[v] = laneMask(std::clamp<int64_t>(jn - 8 * v, 0, 8));
+        GemmTileFn full = tileFor(kMr, jn);
         int64_t r0 = 0;
         for (; r0 + kMr <= g.m; r0 += kMr)
             full(g, r0, j0, mask);
-        if (r0 < g.m) {
-            int64_t rows = g.m - r0;
-            ConvTileFn tail = jn == 16 ? convTileFor<2, false>(rows)
-                              : jn > 8 ? convTileFor<2, true>(rows)
-                              : jn == 8 ? convTileFor<1, false>(rows)
-                                        : convTileFor<1, true>(rows);
-            tail(g, r0, j0, mask);
-        }
+        if (r0 < g.m)
+            tileFor(g.m - r0, jn)(g, r0, j0, mask);
     }
+}
+
+void
+matmulAvx2K(const KernelCtx &c)
+{
+    kutil::matmul(c, gemmAvx2);
 }
 
 void
 convGemmAvx2K(const KernelCtx &c)
 {
-    kutil::convForward(c, convGemmAvx2);
+    kutil::convForward(c, gemmAvx2);
 }
 
 void
 convBwdInputAvx2K(const KernelCtx &c)
 {
-    kutil::convBwdInput(c, convGemmAvx2);
+    kutil::convBwdInput(c, gemmAvx2);
 }
 
 void
 convBwdWeightAvx2K(const KernelCtx &c)
 {
-    kutil::convBwdWeight(c, convGemmAvx2);
+    kutil::convBwdWeight(c, gemmAvx2);
 }
 
 // ---- fp32 depthwise conv + bias + act ---------------------------------
@@ -765,12 +690,6 @@ qdwConvAvx2K(const KernelCtx &c)
     }
 }
 
-int64_t
-matmulRows(const KernelCtx &c)
-{
-    return (*c.outShape)[0];
-}
-
 } // namespace
 
 namespace detail {
@@ -780,15 +699,15 @@ registerSimdAvx2Kernels()
 {
     // Same partition domains and workspace declarations as the scalar
     // bases — the tier-switch contract the executor relies on.
-    PartitionSpec rows{matmulRows, 8};
-    PartitionSpec batch{part::outDim0, 1};
+    PartitionSpec rows{part::outDim0, 8};
     PartitionSpec images{part::outDim0, 1};
     PartitionSpec imageChannels{part::outDim01, 1};
-    registerKernel(OpKind::MatMul, "blocked@avx2", matmulAvx2K, rows,
-                   kutil::blockedGemmWorkspace);
-    registerKernel(OpKind::BatchMatMul, "blocked@avx2",
-                   batchMatmulAvx2K, batch,
-                   kutil::blockedGemmWorkspace);
+    for (OpKind op : {OpKind::MatMul, OpKind::MatMulBiasAct})
+        registerKernel(op, "avx2", matmulAvx2K, rows,
+                       kutil::matmulWorkspace);
+    registerKernel(OpKind::BatchMatMul, "avx2", matmulAvx2K,
+                   PartitionSpec{part::outDim0, 1},
+                   kutil::matmulWorkspace);
     PartitionSpec tiles{kutil::convTiles, 1};
     for (OpKind op : {OpKind::Conv2d, OpKind::ConvBiasAct})
         registerKernel(op, "im2col@avx2", convGemmAvx2K, tiles,

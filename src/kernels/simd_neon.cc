@@ -1,7 +1,7 @@
 /**
  * @file
- * NEON kernel tier: fp32 panel GEMM, the fp32 conv-family GEMM with
- * its bias+act epilogue (Conv2d "im2col", ConvBiasAct, both conv
+ * NEON kernel tier: the fp32 GEMM with its bias+act epilogue (MatMul,
+ * BatchMatMul, MatMulBiasAct, Conv2d "im2col", ConvBiasAct, both conv
  * backward ops), fused attention, int8 GEMM, int8 conv and depthwise —
  * as "<base>@neon" variants with the scalar bases' partition domains
  * and workspace declarations (kernel_util.h).
@@ -31,107 +31,19 @@
 namespace pe {
 namespace {
 
-using kutil::GemmView;
 using kutil::Requant;
 using kutil::requantOf;
 
-constexpr int64_t kBlock = kutil::kGemmBlock;
-
-// ---- fp32 panel GEMM --------------------------------------------------
-
-/** 4-row x 4-column multiply-accumulate register tile over the packed
- *  B panel (same layout and workspace as the scalar "blocked" tier). */
-void
-gemmNeon(const GemmView &a, const GemmView &b, float *out, int64_t r0,
-         int64_t r1, float *ws)
-{
-    int64_t n = b.cols, kk = a.cols;
-    std::memset(out + r0 * n, 0, sizeof(float) * (r1 - r0) * n);
-    for (int64_t k0 = 0; k0 < kk; k0 += kBlock) {
-        int64_t k1 = std::min(k0 + kBlock, kk);
-        for (int64_t j0 = 0; j0 < n; j0 += kBlock) {
-            int64_t j1 = std::min(j0 + kBlock, n);
-            int64_t jw = j1 - j0;
-            for (int64_t k = k0; k < k1; ++k) {
-                float *dst = ws + (k - k0) * jw;
-                for (int64_t j = j0; j < j1; ++j)
-                    dst[j - j0] = b.at(k, j);
-            }
-            for (int64_t i0 = r0; i0 < r1; i0 += 4) {
-                int64_t rows = std::min<int64_t>(4, r1 - i0);
-                int64_t j = 0;
-                for (; j + 4 <= jw; j += 4) {
-                    float32x4_t acc[4];
-                    for (int64_t r = 0; r < rows; ++r)
-                        acc[r] = vdupq_n_f32(0.0f);
-                    for (int64_t k = k0; k < k1; ++k) {
-                        float32x4_t bv =
-                            vld1q_f32(ws + (k - k0) * jw + j);
-                        for (int64_t r = 0; r < rows; ++r)
-                            acc[r] = vmlaq_n_f32(acc[r], bv,
-                                                 a.at(i0 + r, k));
-                    }
-                    for (int64_t r = 0; r < rows; ++r) {
-                        float *orow = out + (i0 + r) * n + j0 + j;
-                        vst1q_f32(orow,
-                                  vaddq_f32(vld1q_f32(orow), acc[r]));
-                    }
-                }
-                for (; j < jw; ++j) {
-                    for (int64_t r = 0; r < rows; ++r) {
-                        float s = 0.0f;
-                        for (int64_t k = k0; k < k1; ++k)
-                            s += a.at(i0 + r, k) *
-                                 ws[(k - k0) * jw + j];
-                        out[(i0 + r) * n + j0 + j] += s;
-                    }
-                }
-            }
-        }
-    }
-}
-
-void
-matmulNeonK(const KernelCtx &c)
-{
-    bool ta = c.node->attrs.getInt("transA", 0) != 0;
-    bool tb = c.node->attrs.getInt("transB", 0) != 0;
-    GemmView a = kutil::gemmViewOf(c.in[0], *c.inShapes[0], ta);
-    GemmView b = kutil::gemmViewOf(c.in[1], *c.inShapes[1], tb);
-    gemmNeon(a, b, c.out, c.begin, partitionEnd(c, a.rows),
-             c.workspace);
-}
-
-void
-batchMatmulNeonK(const KernelCtx &c)
-{
-    bool ta = c.node->attrs.getInt("transA", 0) != 0;
-    bool tb = c.node->attrs.getInt("transB", 0) != 0;
-    const Shape &as = *c.inShapes[0];
-    const Shape &bs = *c.inShapes[1];
-    int64_t batch = as[0];
-    int64_t a_stride = as[1] * as[2];
-    int64_t b_stride = bs[1] * bs[2];
-    int64_t o_stride = (*c.outShape)[1] * (*c.outShape)[2];
-    for (int64_t nn = c.begin; nn < partitionEnd(c, batch); ++nn) {
-        GemmView a = kutil::gemmViewOf(c.in[0] + nn * a_stride,
-                                       {as[1], as[2]}, ta);
-        GemmView b = kutil::gemmViewOf(c.in[1] + nn * b_stride,
-                                       {bs[1], bs[2]}, tb);
-        gemmNeon(a, b, c.out + nn * o_stride, 0, a.rows, c.workspace);
-    }
-}
-
-// ---- fp32 conv-family GEMM (bias+act epilogue) -----------------------
+// ---- the fp32 GEMM (bias+act epilogue) --------------------------------
 
 /**
- * The conv-family GEMM (kutil::ConvGemm) in 4-row x 4-column register
- * tiles, started from C, the bias or zero; the column tail runs
- * scalar in the same k order. The epilogue applies kutil::actOf to
- * each finished tile, so the activation math is the scalar tier's.
+ * The fp32 GEMM (kutil::Gemm) in 4-row x 4-column register tiles,
+ * started from C, the bias or zero; the column tail runs scalar in
+ * the same k order. The epilogue applies kutil::actOf to each
+ * finished tile, so the activation math is the scalar tier's.
  */
 void
-convGemmNeon(const kutil::ConvGemm &g)
+gemmNeon(const kutil::Gemm &g)
 {
     for (int64_t r0 = 0; r0 < g.m; r0 += 4) {
         int64_t rows = std::min<int64_t>(4, g.m - r0);
@@ -141,6 +53,8 @@ convGemmNeon(const kutil::ConvGemm &g)
             for (int64_t r = 0; r < rows; ++r)
                 acc[r] = g.accumulate
                              ? vld1q_f32(g.c + (r0 + r) * g.ldc + j)
+                         : g.bias && g.colBias
+                             ? vld1q_f32(g.bias + j)
                              : vdupq_n_f32(g.bias ? g.bias[r0 + r]
                                                   : 0.0f);
             for (int64_t kk = 0; kk < g.k; ++kk) {
@@ -155,9 +69,10 @@ convGemmNeon(const kutil::ConvGemm &g)
         for (; j < g.n; ++j) {
             for (int64_t r = 0; r < rows; ++r) {
                 float *cp = g.c + (r0 + r) * g.ldc + j;
-                float s = g.accumulate ? *cp
-                          : g.bias     ? g.bias[r0 + r]
-                                       : 0.0f;
+                float s = g.accumulate            ? *cp
+                          : g.bias && g.colBias ? g.bias[j]
+                          : g.bias              ? g.bias[r0 + r]
+                                                : 0.0f;
                 for (int64_t kk = 0; kk < g.k; ++kk)
                     s += g.a[(r0 + r) * g.ars + kk * g.acs] *
                          g.b[kk * g.ldb + j];
@@ -175,21 +90,27 @@ convGemmNeon(const kutil::ConvGemm &g)
 }
 
 void
+matmulNeonK(const KernelCtx &c)
+{
+    kutil::matmul(c, gemmNeon);
+}
+
+void
 convGemmNeonK(const KernelCtx &c)
 {
-    kutil::convForward(c, convGemmNeon);
+    kutil::convForward(c, gemmNeon);
 }
 
 void
 convBwdInputNeonK(const KernelCtx &c)
 {
-    kutil::convBwdInput(c, convGemmNeon);
+    kutil::convBwdInput(c, gemmNeon);
 }
 
 void
 convBwdWeightNeonK(const KernelCtx &c)
 {
-    kutil::convBwdWeight(c, convGemmNeon);
+    kutil::convBwdWeight(c, gemmNeon);
 }
 
 // ---- fused attention --------------------------------------------------
@@ -566,12 +487,6 @@ qdwConvNeonK(const KernelCtx &c)
     }
 }
 
-int64_t
-matmulRows(const KernelCtx &c)
-{
-    return (*c.outShape)[0];
-}
-
 } // namespace
 
 namespace detail {
@@ -579,15 +494,15 @@ namespace detail {
 void
 registerSimdNeonKernels()
 {
-    PartitionSpec rows{matmulRows, 8};
-    PartitionSpec batch{part::outDim0, 1};
+    PartitionSpec rows{part::outDim0, 8};
     PartitionSpec images{part::outDim0, 1};
     PartitionSpec imageChannels{part::outDim01, 1};
-    registerKernel(OpKind::MatMul, "blocked@neon", matmulNeonK, rows,
-                   kutil::blockedGemmWorkspace);
-    registerKernel(OpKind::BatchMatMul, "blocked@neon",
-                   batchMatmulNeonK, batch,
-                   kutil::blockedGemmWorkspace);
+    for (OpKind op : {OpKind::MatMul, OpKind::MatMulBiasAct})
+        registerKernel(op, "neon", matmulNeonK, rows,
+                       kutil::matmulWorkspace);
+    registerKernel(OpKind::BatchMatMul, "neon", matmulNeonK,
+                   PartitionSpec{part::outDim0, 1},
+                   kutil::matmulWorkspace);
     PartitionSpec tiles{kutil::convTiles, 1};
     for (OpKind op : {OpKind::Conv2d, OpKind::ConvBiasAct})
         registerKernel(op, "im2col@neon", convGemmNeonK, tiles,

@@ -551,6 +551,15 @@ reorderForMemory(const Graph &g)
     return order;
 }
 
+namespace {
+
+/** A bare Conv2d (no bias, so no fused epilogue) lowers to the im2col
+ *  GEMM once its per-image output has this many pixels; smaller ones
+ *  keep the direct kernel and need no unfold workspace. */
+constexpr int64_t kIm2colMinPixels = 64 * 64;
+
+} // namespace
+
 std::vector<std::string>
 switchBackends(Graph &g, const BackendOptions &opts, PassStats *stats)
 {
@@ -573,9 +582,7 @@ switchBackends(Graph &g, const BackendOptions &opts, PassStats *stats)
             }
             bool gemm_worth_it =
                 n.op == OpKind::ConvBiasAct ||
-                (opts.enableBlocked &&
-                 numel(n.shape) / n.shape[0] >=
-                     opts.blockedMinDim * opts.blockedMinDim);
+                numel(n.shape) / n.shape[0] >= kIm2colMinPixels;
             if (variants[id].empty() && gemm_worth_it) {
                 // Winograd-ineligible convs lower to the im2col GEMM
                 // with its bias+act epilogue — the variant the SIMD
@@ -587,15 +594,13 @@ switchBackends(Graph &g, const BackendOptions &opts, PassStats *stats)
                 if (stats)
                     ++stats->im2colBound;
             }
-        } else if ((n.op == OpKind::MatMul ||
-                    n.op == OpKind::BatchMatMul) &&
-                   opts.enableBlocked) {
-            if (numel(n.shape) >=
-                opts.blockedMinDim * opts.blockedMinDim) {
-                variants[id] = "blocked";
-                if (stats)
-                    ++stats->blockedBound;
-            }
+        } else if (n.op == OpKind::MatMul ||
+                   n.op == OpKind::BatchMatMul ||
+                   n.op == OpKind::MatMulBiasAct) {
+            // One GEMM at every size: the default kernel, which the
+            // tier resolver upgrades to "avx2"/"neon" at bind time.
+            if (stats)
+                ++stats->gemmBound;
         } else if (isQuantComputeOp(n.op)) {
             // Quant compute ops want the real int8 kernels (every
             // quant compute op has one, depthwise included). Should a

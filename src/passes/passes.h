@@ -37,7 +37,7 @@ struct PassStats {
     int nodesFused = 0;
     int nodesFolded = 0;
     int winogradBound = 0;
-    int blockedBound = 0;
+    int gemmBound = 0;   ///< GEMMs (MatMul family) on the one GEMM
     int int8Bound = 0;   ///< quant compute ops bound to "int8" variants
     int im2colBound = 0; ///< convs bound to the "im2col" GEMM lowering
 };
@@ -93,14 +93,14 @@ std::vector<int> naturalOrder(const Graph &g);
 /** Backend-switching options. */
 struct BackendOptions {
     bool enableWinograd = true; ///< frozen 3x3 s1 convs -> Winograd
-    bool enableBlocked = true;  ///< large GEMMs -> blocked variant
-    int64_t blockedMinDim = 64; ///< GEMM size threshold
 };
 
 /**
  * Choose a kernel variant per node. Frozen-weight 3x3 stride-1
- * convolutions get "winograd" (weight transform cached across steps);
- * large GEMMs get "blocked"; quant compute ops get "int8" (ops whose
+ * convolutions get "winograd" (weight transform cached across steps),
+ * other ConvBiasActs and large Conv2ds the "im2col" GEMM; every GEMM
+ * (MatMul, BatchMatMul, MatMulBiasAct) keeps the default, which is
+ * the one GEMM at every size; quant compute ops get "int8" (ops whose
  * int8 kernel is not registered fall back to the dequant->fp32->
  * requant reference kernel, surfaced via CompileReport's fallback
  * counters); everything else keeps the default.

@@ -231,7 +231,7 @@ buildReport(const CompileReport &r)
     w.i32(r.backend.nodesFused);
     w.i32(r.backend.nodesFolded);
     w.i32(r.backend.winogradBound);
-    w.i32(r.backend.blockedBound);
+    w.i32(r.backend.gemmBound);
     w.i32(r.backend.int8Bound);
     w.i32(r.quant.quantizedOps);
     w.i32(r.quant.quantizeNodes);
@@ -565,6 +565,21 @@ serializePlan(const Graph &g, const ProgramArtifact &art,
 
 namespace {
 
+/**
+ * The current name of a stored variant. MatMul and BatchMatMul once
+ * had a naive default and a "blocked" variant; both are now the one
+ * GEMM, so "blocked[@tier]" names that GEMM's tier. It declares no
+ * more workspace than "blocked" did, so the plan's placements fit.
+ */
+std::string
+currentVariantName(OpKind op, const std::string &v)
+{
+    bool gemm = op == OpKind::MatMul || op == OpKind::BatchMatMul;
+    if (!gemm || scalarVariantOf(v) != "blocked")
+        return v;
+    return v == "blocked" ? "" : v.substr(v.find('@') + 1);
+}
+
 PlanData
 deserializeImpl(const std::string &bytes)
 {
@@ -606,7 +621,7 @@ deserializeImpl(const std::string &bytes)
         rep.backend.nodesFused = r.get<int32_t>();
         rep.backend.nodesFolded = r.get<int32_t>();
         rep.backend.winogradBound = r.get<int32_t>();
-        rep.backend.blockedBound = r.get<int32_t>();
+        rep.backend.gemmBound = r.get<int32_t>();
         rep.backend.int8Bound = r.get<int32_t>();
         rep.quant.quantizedOps = r.get<int32_t>();
         rep.quant.quantizeNodes = r.get<int32_t>();
@@ -725,7 +740,8 @@ deserializeImpl(const std::string &bytes)
                 "plan: variants do not cover the graph");
         pd.artifact.variants.reserve(count);
         for (uint32_t i = 0; i < count; ++i)
-            pd.artifact.variants.push_back(r.str());
+            pd.artifact.variants.push_back(currentVariantName(
+                pd.graph.node(static_cast<int>(i)).op, r.str()));
         r.finish();
     }
 
@@ -903,6 +919,22 @@ deserializeImpl(const std::string &bytes)
             throw PlanUnknownKernelError(
                 std::string("plan: no kernel registered for '") +
                 opName(n.op) + "/" + v + "'");
+        // A kernel whose workspace grew since the plan was written
+        // (a transB GEMM now packs a panel) cannot bind against it.
+        WorkspaceSpec need =
+            kernelWorkspace(pd.graph, n, scalarVariantOf(v));
+        const WorkspacePlacement *have = nullptr;
+        for (const WorkspacePlacement &w : pd.artifact.plan.workspaces)
+            if (w.node == id)
+                have = &w;
+        int64_t haveBytes = have ? have->bytesPerShard : 0;
+        int64_t haveShared = have ? have->sharedBytes : 0;
+        if (need.bytesPerShard > haveBytes ||
+            need.sharedBytes > haveShared)
+            throw PlanUnknownKernelError(
+                std::string("plan: kernel '") + opName(n.op) + "/" + v +
+                "' needs more workspace than the plan reserves; "
+                "recompile the plan");
     }
 
     return pd;

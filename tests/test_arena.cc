@@ -8,7 +8,7 @@
  *     consume no arena; plans are deterministic across repeated
  *     compiles; the live-bytes timeline is consistent.
  *  2. Executor integration: scratch-bearing kernels (Winograd conv,
- *     blocked GEMM, im2col conv) produce multi-shard launch plans at
+ *     transB GEMM, im2col conv) produce multi-shard launch plans at
  *     numThreads=4 whose outputs match the 1-thread run bit for bit,
  *     and the serialized-by-scratch count of the pre-Arena-v2
  *     executor rule stays zero.
@@ -328,11 +328,12 @@ TEST(ArenaExec, WinogradStepActuallySharded)
         << "Arena v2 must not serialize kernels for carrying scratch";
 }
 
-TEST(ArenaExec, BlockedGemmShardsWithWorkspaceAndMatchesSerial)
+TEST(ArenaExec, TransBGemmShardsWithPanelWorkspaceAndMatchesSerial)
 {
-    // A GEMM big enough for the "blocked" variant (numel >= 64^2),
-    // run through compiled training so the workspace-bearing kernel
-    // executes inside the arena at both thread counts.
+    // The backward input gradients dX = dY Wᵀ are transB GEMMs, which
+    // pack Bᵀ into a per-shard panel; run through compiled training so
+    // the workspace-bearing GEMM executes inside the arena at both
+    // thread counts.
     auto traj = [&](int nt) {
         Graph g;
         Rng rng(7);
@@ -349,7 +350,7 @@ TEST(ArenaExec, BlockedGemmShardsWithWorkspaceAndMatchesSerial)
         auto prog = compileTraining(g, loss, SparseUpdateScheme::full(),
                                     opt, store);
         EXPECT_GT(prog.report().workspaceBytes, 0)
-            << "blocked GEMM should declare a packing workspace";
+            << "a transB GEMM should declare a panel workspace";
         EXPECT_EQ(prog.report().serializedByWorkspace, 0);
         if (nt > 1)
             EXPECT_GT(prog.report().shardedSteps, 0);

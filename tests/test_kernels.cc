@@ -1,9 +1,10 @@
 /**
  * @file
  * Kernel-level tests: every optimized variant must agree with the
- * naive reference (blocked GEMM, im2col conv, Winograd), fused ops
- * must match their unfused compositions, and numerically delicate
- * kernels (softmax, cross-entropy) must be stable.
+ * naive reference (im2col conv, Winograd; the one GEMM's references
+ * live in test_simd.cc next to its tier parity), fused ops must match
+ * their unfused compositions, and numerically delicate kernels
+ * (softmax, cross-entropy) must be stable.
  */
 
 #include <gtest/gtest.h>
@@ -88,38 +89,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(ConvParam{3, 8, 8, 1, 1}, ConvParam{4, 4, 9, 1, 1},
                       ConvParam{1, 2, 7, 1, 0}, ConvParam{3, 8, 8, 2, 1},
                       ConvParam{8, 16, 12, 1, 1}));
-
-TEST(MatMulVariants, BlockedMatchesNaive)
-{
-    for (int64_t n : {5, 17, 48, 100}) {
-        Rng rng(1);
-        Graph g;
-        int a = g.input({n, n + 3}, "a");
-        int b = g.input({n + 3, n - 1}, "b");
-        int mm = g.add(OpKind::MatMul, {a, b});
-        Tensor ta = Tensor::randn({n, n + 3}, rng);
-        Tensor tb = Tensor::randn({n + 3, n - 1}, rng);
-        Tensor naive = runKernel(g, mm, {ta, tb}, "");
-        Tensor blocked = runKernel(g, mm, {ta, tb}, "blocked");
-        EXPECT_LT(maxAbsDiff(naive, blocked), 1e-3f) << "n=" << n;
-    }
-}
-
-TEST(MatMulVariants, BlockedMatchesNaiveWithTranspose)
-{
-    Rng rng(1);
-    Graph g;
-    int a = g.input({20, 30}, "a");
-    int b = g.input({40, 30}, "b");
-    Attrs attrs;
-    attrs.set("transB", static_cast<int64_t>(1));
-    int mm = g.add(OpKind::MatMul, {a, b}, std::move(attrs));
-    Tensor ta = Tensor::randn({20, 30}, rng);
-    Tensor tb = Tensor::randn({40, 30}, rng);
-    EXPECT_LT(maxAbsDiff(runKernel(g, mm, {ta, tb}, ""),
-                         runKernel(g, mm, {ta, tb}, "blocked")),
-              1e-3f);
-}
 
 /**
  * Reference for ConvBiasAct: the composition it replaces — Conv2d's

@@ -140,7 +140,8 @@ struct KernelCase {
  * concurrent launch.
  */
 void
-expectShardInvariant(const KernelCase &kc, const std::string &variant = "")
+expectShardInvariant(const KernelCase &kc, const std::string &variant = "",
+                     int threads = 4)
 {
     const Node &node = kc.g.node(kc.node);
     KernelInfo info = lookupKernelInfo(node.op, variant);
@@ -209,7 +210,7 @@ expectShardInvariant(const KernelCase &kc, const std::string &variant = "")
     }
 
     // Pooled shards, repeated: races would show up as flaky diffs.
-    ThreadPool pool(4);
+    ThreadPool pool(threads);
     for (int rep = 0; rep < 10; ++rep) {
         std::vector<Tensor> ins = clone_inputs();
         Tensor out = Tensor::zeros(os);
@@ -275,15 +276,38 @@ TEST(KernelPartition, Elementwise)
 
 TEST(KernelPartition, MatMul)
 {
-    expectShardInvariant({OpKind::MatMul, {{13, 7}, {7, 9}}, {}});
-    expectShardInvariant({OpKind::MatMul, {{13, 7}, {7, 9}}, {}},
-                         "blocked");
-    Attrs t;
-    t.set("transB", static_cast<int64_t>(1));
-    expectShardInvariant(
-        {OpKind::MatMul, {{13, 7}, {9, 7}}, std::move(t)});
-    expectShardInvariant(
-        {OpKind::BatchMatMul, {{5, 4, 6}, {5, 6, 3}}, {}});
+    // The one GEMM, scalar and at the host tier, on 1, 2 and 4
+    // threads. transB packs Bᵀ into each shard's panel: 60 columns and
+    // a k of 50 span two panels in each direction.
+    Attrs tb;
+    tb.set("transB", static_cast<int64_t>(1));
+    Attrs ta;
+    ta.set("transA", static_cast<int64_t>(1));
+    Attrs mb;
+    mb.set("act", kActRelu);
+    mb.set("transB", static_cast<int64_t>(1));
+    for (const std::string &v : {std::string(""), hostTier()}) {
+        for (int nt : {1, 2, 4}) {
+            SCOPED_TRACE("variant '" + v + "', nt " + std::to_string(nt));
+            expectShardInvariant({OpKind::MatMul, {{13, 7}, {7, 9}}, {}},
+                                 v, nt);
+            expectShardInvariant(
+                {OpKind::MatMul, {{13, 7}, {9, 7}}, tb}, v, nt);
+            expectShardInvariant(
+                {OpKind::MatMul, {{29, 50}, {60, 50}}, tb}, v, nt);
+            expectShardInvariant(
+                {OpKind::MatMul, {{50, 29}, {50, 60}}, ta}, v, nt);
+            expectShardInvariant({OpKind::MatMulBiasAct,
+                                  {{29, 50}, {60, 50}, {60}},
+                                  mb},
+                                 v, nt);
+            expectShardInvariant(
+                {OpKind::BatchMatMul, {{5, 4, 6}, {5, 6, 3}}, {}}, v, nt);
+            expectShardInvariant(
+                {OpKind::BatchMatMul, {{5, 4, 50}, {5, 60, 50}}, tb}, v,
+                nt);
+        }
+    }
 }
 
 TEST(KernelPartition, Conv)
@@ -415,7 +439,7 @@ TEST(KernelRegistry, UnknownVariantFallsBackVisibly)
     KernelInfo info = lookupKernelInfo(OpKind::MatMul, "no-such-backend");
     EXPECT_TRUE(info.fellBack);
     EXPECT_EQ(info.fn, lookupKernelInfo(OpKind::MatMul, "").fn);
-    EXPECT_FALSE(lookupKernelInfo(OpKind::MatMul, "blocked").fellBack);
+    EXPECT_FALSE(lookupKernelInfo(OpKind::MatMul, hostTier()).fellBack);
 }
 
 TEST(KernelRegistry, ExecutorCountsFallbacks)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "frontend/builder.h"
+#include "kernels/kernel.h"
 #include "passes/passes.h"
 #include "runtime/planner.h"
 #include "testutil.h"
@@ -229,20 +230,39 @@ TEST(Reorder, InPlaceUpdateRunsAfterAllParamReaders)
     }
 }
 
-TEST(BackendSwitch, BlockedOnlyForLargeGemms)
+TEST(BackendSwitch, EveryGemmBindsTheOneKernel)
 {
+    // No size rule: a decode-sized GEMV and a large GEMM, batched or
+    // fused with bias+act, all bind the default GEMM — the kernel the
+    // tier resolver upgrades at bind time.
     Graph g;
     int a = g.input({128, 128}, "a");
     int b = g.input({128, 128}, "b");
     int big = g.add(OpKind::MatMul, {a, b});
-    int c = g.input({4, 4}, "c");
-    int d = g.input({4, 4}, "d");
-    int small = g.add(OpKind::MatMul, {c, d});
-    g.markOutput(big);
-    g.markOutput(small);
-    auto variants = switchBackends(g, BackendOptions{});
-    EXPECT_EQ(variants[big], "blocked");
-    EXPECT_EQ(variants[small], "");
+    int c = g.input({1, 128}, "c");
+    int small = g.add(OpKind::MatMul, {c, b});
+    int bias = g.input({128}, "bias");
+    Attrs act;
+    act.set("act", kActRelu);
+    int fused = g.add(OpKind::MatMulBiasAct, {c, b, bias}, std::move(act));
+    int x = g.input({4, 2, 8}, "x");
+    int y = g.input({4, 8, 3}, "y");
+    int batched = g.add(OpKind::BatchMatMul, {x, y});
+    for (int id : {big, small, fused, batched})
+        g.markOutput(id);
+    PassStats stats;
+    auto variants = switchBackends(g, BackendOptions{}, &stats);
+    for (int id : {big, small, fused, batched}) {
+        EXPECT_EQ(variants[id], "") << opName(g.node(id).op);
+        std::string tier = hostSimdTier() == SimdTier::Scalar
+                               ? ""
+                               : simdTierName(hostSimdTier());
+        EXPECT_EQ(resolveTierVariant(g.node(id).op, variants[id],
+                                     hostSimdTier()),
+                  tier)
+            << opName(g.node(id).op);
+    }
+    EXPECT_EQ(stats.gemmBound, 4);
 }
 
 TEST(BackendSwitch, WinogradRequiresFrozen3x3Stride1)

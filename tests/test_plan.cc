@@ -13,7 +13,8 @@
  *  4. Robust load errors: truncated file, bad magic, version
  *     mismatch, checksum failure and unknown-kernel-name each throw
  *     their own typed error, and a corrupt-one-byte fuzz loop never
- *     produces UB or a silent success.
+ *     produces UB or a silent success. Retired GEMM variant names
+ *     ("blocked") load as the one GEMM.
  *  5. Serving: a ServingEngine built from a plan directory serves
  *     bit-identical results to one that compiled its buckets, with
  *     zero compile work at startup; calibrate() wired into the bucket
@@ -22,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -325,6 +327,84 @@ TEST_F(PlanErrorsTest, UnknownKernelName)
     EXPECT_THROW(loadPlanFromBytes(blob), PlanChecksumError)
         << "tampering without resealing must be caught as corruption";
     resealPlan(blob);
+    EXPECT_THROW(loadPlanFromBytes(blob), PlanUnknownKernelError);
+}
+
+/** x Wᵀ then (x Wᵀ) V: one transB GEMM (it packs a Bᵀ panel) and one
+ *  that reads B in place. Operands are feeds, so nothing folds. */
+struct TwoGemms {
+    Graph g;
+    int xw = -1, out = -1;
+    std::shared_ptr<ParamStore> store = std::make_shared<ParamStore>();
+    Feeds feeds;
+
+    TwoGemms()
+    {
+        int x = g.input({4, 60}, "x");
+        int w = g.input({50, 60}, "w");
+        int v = g.input({50, 8}, "v");
+        Attrs tb;
+        tb.set("transB", static_cast<int64_t>(1));
+        xw = g.add(OpKind::MatMul, {x, w}, std::move(tb));
+        out = g.add(OpKind::MatMul, {xw, v});
+        g.markOutput(out);
+        Rng rng(5);
+        for (int id : {x, w, v})
+            feeds[g.node(id).name] = Tensor::randn(g.node(id).shape, rng);
+    }
+};
+
+TEST(PlanCompat, RetiredBlockedGemmNamesBindTheOneGemm)
+{
+    // Plans name kernels by registry variant. MatMul's "blocked" pair
+    // is retired: "blocked" and "blocked@<tier>" now load as the one
+    // GEMM (its tier on this host), count no fallback, and run bit
+    // for bit like a fresh compile.
+    TwoGemms t;
+    auto prog = compileInference(t.g, {t.out}, CompileOptions{}, t.store);
+    Tensor want = prog.run(t.feeds)[0];
+    ProgramArtifact art = prog.executor().exportArtifact();
+    for (const std::string &old :
+         {std::string("blocked"), std::string("blocked@avx2"),
+          std::string("blocked@neon")}) {
+        SCOPED_TRACE(old);
+        ProgramArtifact a = art;
+        a.variants[t.xw] = old;
+        a.variants[t.out] = old;
+        std::string blob = serializePlan(prog.graph(), a, prog.report(),
+                                         *t.store);
+        auto loaded = loadPlanFromBytes(blob);
+        EXPECT_EQ(loaded->report().kernelFallbacks, 0);
+        const Executor &ex = loaded->executor();
+        int si = 0;
+        for (int id : ex.order()) {
+            if (isSourceOp(ex.graph().node(id).op))
+                continue;
+            EXPECT_EQ(ex.stepTiers()[si++],
+                      simdTierName(hostSimdTier()));
+        }
+        EXPECT_TRUE(bitEqual(loaded->run(t.feeds)[0], want));
+    }
+}
+
+TEST(PlanCompat, GemmPanelMissingFromPlanIsATypedError)
+{
+    // A transB GEMM packs Bᵀ into a workspace panel. A plan whose
+    // memory plan reserves none for it (written before the panel
+    // existed) cannot bind: the load fails typed, up front.
+    TwoGemms t;
+    auto prog = compileInference(t.g, {t.out}, CompileOptions{}, t.store);
+    ProgramArtifact art = prog.executor().exportArtifact();
+    auto &ws = art.plan.workspaces;
+    size_t before = ws.size();
+    ws.erase(std::remove_if(ws.begin(), ws.end(),
+                            [&](const WorkspacePlacement &w) {
+                                return w.node == t.xw;
+                            }),
+             ws.end());
+    ASSERT_EQ(ws.size() + 1, before) << "the transB GEMM lost its panel";
+    std::string blob =
+        serializePlan(prog.graph(), art, prog.report(), *t.store);
     EXPECT_THROW(loadPlanFromBytes(blob), PlanUnknownKernelError);
 }
 

@@ -126,7 +126,7 @@ TEST_P(RandomGraphSemantics, AllOptimizationsPreserveLoss)
     RandomNet b = randomMlp(seed);
     CompileOptions on, off;
     on.optim = off.optim = OptimConfig::sgd(0.05);
-    off.fuse = off.reorder = off.winograd = off.blocked =
+    off.fuse = off.reorder = off.winograd =
         off.foldConstants = false;
     auto store_a = std::make_shared<ParamStore>(a.store);
     auto store_b = std::make_shared<ParamStore>(b.store);

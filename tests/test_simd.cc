@@ -7,7 +7,9 @@
  *  2. Parity properties, swept over random shapes (non-multiple-of-
  *     vector-width tails, 1-element edges): int8 SIMD kernels are
  *     BIT-EXACT to the scalar "int8" tier; fp32 SIMD kernels match
- *     scalar within 1e-5 relative (FMA rounding contract).
+ *     scalar within 1e-5 relative (FMA rounding contract); the scalar
+ *     GEMM and conv family equal the loops they replaced, and every
+ *     GEMM tier computes each row independently of the others.
  *  3. Compile integration: an MCUNet-style int8 compile reports zero
  *     QuantDwConv2d fallbacks and binds SIMD steps on a SIMD host;
  *     forceScalarTier pins everything to scalar.
@@ -166,19 +168,19 @@ TEST(TierApi, VariantNamingAndClassification)
     EXPECT_STREQ(simdTierName(SimdTier::Neon), "neon");
 
     EXPECT_EQ(variantTier(""), SimdTier::Scalar);
-    EXPECT_EQ(variantTier("blocked"), SimdTier::Scalar);
+    EXPECT_EQ(variantTier("im2col"), SimdTier::Scalar);
     EXPECT_EQ(variantTier("avx2"), SimdTier::Avx2);
-    EXPECT_EQ(variantTier("blocked@avx2"), SimdTier::Avx2);
+    EXPECT_EQ(variantTier("im2col@avx2"), SimdTier::Avx2);
     EXPECT_EQ(variantTier("int8@neon"), SimdTier::Neon);
     // Unknown variants are NOT tiers: they classify scalar and pass
     // through resolution unchanged, so the fallback counters still
     // see them (test_parallel asserts on exactly that).
     EXPECT_EQ(variantTier("no-such-backend"), SimdTier::Scalar);
 
-    EXPECT_EQ(scalarVariantOf("blocked@avx2"), "blocked");
+    EXPECT_EQ(scalarVariantOf("im2col@avx2"), "im2col");
     EXPECT_EQ(scalarVariantOf("int8@neon"), "int8");
     EXPECT_EQ(scalarVariantOf("avx2"), "");
-    EXPECT_EQ(scalarVariantOf("blocked"), "blocked");
+    EXPECT_EQ(scalarVariantOf("im2col"), "im2col");
     EXPECT_EQ(scalarVariantOf(""), "");
 }
 
@@ -186,12 +188,14 @@ TEST(TierApi, ResolutionUpgradesOnlyRegisteredVariants)
 {
     detail::ensureKernelsRegistered();
     // Scalar tier always lands on the scalar base, whatever was asked.
-    EXPECT_EQ(resolveTierVariant(OpKind::MatMul, "blocked@avx2",
+    EXPECT_EQ(resolveTierVariant(OpKind::Conv2d, "im2col@avx2",
                                  SimdTier::Scalar),
-              "blocked");
+              "im2col");
     EXPECT_EQ(
-        resolveTierVariant(OpKind::MatMul, "blocked", SimdTier::Scalar),
-        "blocked");
+        resolveTierVariant(OpKind::Conv2d, "im2col", SimdTier::Scalar),
+        "im2col");
+    EXPECT_EQ(resolveTierVariant(OpKind::MatMul, "avx2", SimdTier::Scalar),
+              "");
     // Unknown variants resolve to themselves under the scalar tier's
     // base rule only when they look like tier names; a plain unknown
     // string survives untouched.
@@ -202,9 +206,14 @@ TEST(TierApi, ResolutionUpgradesOnlyRegisteredVariants)
     SimdTier host = hostSimdTier();
     if (host == SimdTier::Scalar)
         return;
-    std::string want = "blocked" + hostSuffix();
-    ASSERT_TRUE(hasKernelVariant(OpKind::MatMul, want));
-    EXPECT_EQ(resolveTierVariant(OpKind::MatMul, "blocked", host), want);
+    std::string want = "im2col" + hostSuffix();
+    ASSERT_TRUE(hasKernelVariant(OpKind::Conv2d, want));
+    EXPECT_EQ(resolveTierVariant(OpKind::Conv2d, "im2col", host), want);
+    // Every GEMM's default upgrades to the bare tier name.
+    for (OpKind op :
+         {OpKind::MatMul, OpKind::BatchMatMul, OpKind::MatMulBiasAct})
+        EXPECT_EQ(resolveTierVariant(op, "", host), simdTierName(host))
+            << opName(op);
     // Ops with no tier kernel stay on their scalar variant — there is
     // no "winograd@avx2", and the bare default has no tier either.
     EXPECT_EQ(resolveTierVariant(OpKind::Conv2d, "winograd", host),
@@ -220,8 +229,8 @@ TEST(TierApi, CapabilityGatedRegistration)
     // most one of the avx2/neon families may exist, and it must match
     // the probed features.
     const CpuFeatures &f = cpuFeatures();
-    bool has_avx2 = hasKernelVariant(OpKind::MatMul, "blocked@avx2");
-    bool has_neon = hasKernelVariant(OpKind::MatMul, "blocked@neon");
+    bool has_avx2 = hasKernelVariant(OpKind::MatMul, "avx2");
+    bool has_neon = hasKernelVariant(OpKind::MatMul, "neon");
     EXPECT_FALSE(has_avx2 && has_neon);
     // hostSimdTier() folds in the PE_SIMD=OFF build switch (PE_NO_SIMD
     // is a library-private define, invisible to this TU), so it is the
@@ -240,44 +249,201 @@ TEST(TierApi, CapabilityGatedRegistration)
                           OpKind::QuantDwConv2d})
             EXPECT_TRUE(hasKernelVariant(op, "int8" + sfx));
         EXPECT_TRUE(hasKernelVariant(OpKind::Conv2d, "im2col" + sfx));
-        EXPECT_TRUE(
-            hasKernelVariant(OpKind::BatchMatMul, "blocked" + sfx));
+        for (OpKind op : {OpKind::BatchMatMul, OpKind::MatMulBiasAct})
+            EXPECT_TRUE(hasKernelVariant(op, sfx.substr(1)));
     }
 }
 
 // ---- 2. parity properties --------------------------------------------
 
+const int64_t kActs[] = {kActNone, kActRelu, kActGelu, kActSilu};
+
+/** Bitwise equality of two same-shaped tensors. */
+bool
+sameBits(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(),
+                       sizeof(float) * static_cast<size_t>(a.size())) == 0;
+}
+
+// ---- 2a. the one fp32 GEMM -------------------------------------------
+//
+// MatMul, BatchMatMul and MatMulBiasAct run one GEMM. The reference
+// below is the pair of loops it replaced, kept verbatim in summation
+// order: MatMul's naive triple loop (acc from 0) and MatMulBiasAct's
+// fused loop (acc from bias[j], then the activation). The scalar GEMM
+// must reproduce both value for value; every tier stays within 1e-5
+// relative of the scalar GEMM.
+
+Tensor
+naiveGemm(const Tensor &a, const Tensor &b, const float *bias,
+          int64_t act, int64_t m, int64_t k, int64_t n, bool ta, bool tb)
+{
+    Tensor out({m, n});
+    for (int64_t i = 0; i < m; ++i) {
+        for (int64_t j = 0; j < n; ++j) {
+            float acc = bias ? bias[j] : 0.0f;
+            for (int64_t kk = 0; kk < k; ++kk)
+                acc += (ta ? a[kk * m + i] : a[i * k + kk]) *
+                       (tb ? b[j * k + kk] : b[kk * n + j]);
+            out[i * n + j] = bias ? kutil::actOf(act, acc) : acc;
+        }
+    }
+    return out;
+}
+
+/** One [m,k] x [k,n] product (either operand optionally stored
+ *  transposed) as a MatMul, one MatMulBiasAct per activation, and a
+ *  2-batch BatchMatMul, with random operands. */
+struct GemmGraph {
+    Graph g;
+    int mm, batched;
+    std::vector<int> fused; ///< MatMulBiasAct per kActs entry
+    Tensor a, b, bias, a2, b2;
+
+    GemmGraph(int64_t m, int64_t k, int64_t n, bool ta, bool tb, Rng &rng)
+    {
+        Shape as = ta ? Shape{k, m} : Shape{m, k};
+        Shape bs = tb ? Shape{n, k} : Shape{k, n};
+        Attrs at;
+        at.set("transA", static_cast<int64_t>(ta));
+        at.set("transB", static_cast<int64_t>(tb));
+        int ia = g.input(as, "a");
+        int ib = g.input(bs, "b");
+        int ibias = g.input({n}, "bias");
+        mm = g.add(OpKind::MatMul, {ia, ib}, at);
+        for (int64_t act : kActs) {
+            Attrs af = at;
+            af.set("act", act);
+            fused.push_back(
+                g.add(OpKind::MatMulBiasAct, {ia, ib, ibias}, af));
+        }
+        int ia2 = g.input({2, as[0], as[1]}, "a2");
+        int ib2 = g.input({2, bs[0], bs[1]}, "b2");
+        batched = g.add(OpKind::BatchMatMul, {ia2, ib2}, at);
+        a = Tensor::randn(as, rng);
+        b = Tensor::randn(bs, rng);
+        bias = Tensor::randn({n}, rng);
+        a2 = Tensor::randn(g.node(ia2).shape, rng);
+        b2 = Tensor::randn(g.node(ib2).shape, rng);
+    }
+
+    Tensor
+    run(int node, const std::string &variant) const
+    {
+        if (node == batched)
+            return runKernel(g, node, {a2, b2}, variant);
+        if (node == mm)
+            return runKernel(g, node, {a, b}, variant);
+        return runKernel(g, node, {a, b, bias}, variant);
+    }
+};
+
+TEST(Gemm, ScalarEqualsNaiveLoops)
+{
+    Rng rng(106);
+    for (int64_t m : {1, 2, 5, 6, 7, 13}) {
+        for (int64_t n : {1, 8, 15, 17, 33, 96}) {
+            // k = 50 and 100 span two and three transB k panels.
+            for (int64_t k : {1, 50, 100}) {
+                for (bool ta : {false, true}) {
+                    for (bool tb : {false, true}) {
+                        SCOPED_TRACE(
+                            "m" + std::to_string(m) + " k" +
+                            std::to_string(k) + " n" + std::to_string(n) +
+                            " ta" + std::to_string(ta) + " tb" +
+                            std::to_string(tb));
+                        GemmGraph gg(m, k, n, ta, tb, rng);
+                        EXPECT_TRUE(sameBits(
+                            gg.run(gg.mm, ""),
+                            naiveGemm(gg.a, gg.b, nullptr, kActNone, m, k,
+                                      n, ta, tb)));
+                        for (size_t i = 0; i < gg.fused.size(); ++i)
+                            EXPECT_TRUE(sameBits(
+                                gg.run(gg.fused[i], ""),
+                                naiveGemm(gg.a, gg.b, gg.bias.data(),
+                                          kActs[i], m, k, n, ta, tb)))
+                                << "act " << kActs[i];
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(Gemm, RowsMatchOneRowProductsAtEveryTier)
+{
+    // A shared decode run multiplies M stream rows in one GEMM where
+    // serial decode runs M 1-row GEMMs: per tier, row i of the M-row
+    // product must be bit-identical to the 1-row product of row i.
+    std::vector<std::string> tiers = {""};
+    if (!hostSuffix().empty())
+        tiers.push_back(hostSuffix().substr(1));
+    Rng rng(107);
+    const int64_t m = 13, k = 50, n = 96;
+    for (const std::string &tier : tiers) {
+        for (bool ta : {false, true}) {
+            for (bool tb : {false, true}) {
+                SCOPED_TRACE("tier '" + tier + "' ta" +
+                             std::to_string(ta) + " tb" +
+                             std::to_string(tb));
+                GemmGraph all(m, k, n, ta, tb, rng);
+                GemmGraph one(1, k, n, ta, tb, rng);
+                one.b = all.b;
+                one.bias = all.bias;
+                std::vector<std::pair<int, int>> nodes = {
+                    {all.mm, one.mm}};
+                for (size_t i = 0; i < all.fused.size(); ++i)
+                    nodes.emplace_back(all.fused[i], one.fused[i]);
+                for (auto [na, no] : nodes) {
+                    Tensor full = all.run(na, tier);
+                    for (int64_t i = 0; i < m; ++i) {
+                        for (int64_t kk = 0; kk < k; ++kk)
+                            one.a[kk] =
+                                ta ? all.a[kk * m + i] : all.a[i * k + kk];
+                        Tensor row = one.run(no, tier);
+                        EXPECT_EQ(std::memcmp(full.data() + i * n,
+                                              row.data(),
+                                              sizeof(float) * n),
+                                  0)
+                            << opName(all.g.node(na).op) << " row " << i;
+                    }
+                }
+            }
+        }
+    }
+}
+
 TEST(SimdParity, Fp32GemmWithin1e5Relative)
 {
     SKIP_WITHOUT_SIMD();
-    std::string sfx = hostSuffix();
+    std::string tier = hostSuffix().substr(1); // "avx2" / "neon"
     Rng rng(101);
     // Shapes chosen to hit register-tile and vector-width tails: the
-    // 8-row x 8-col microkernel, 1-element edges, and sizes straddling
-    // the 48-wide panel.
+    // 6-row x 16-col and GEMV microkernel tiles, 1-element edges, and
+    // sizes straddling the 48-wide transB panel in n and k.
     struct S {
         int64_t m, k, n;
     };
     std::vector<S> shapes = {{1, 1, 1},   {8, 8, 8},    {7, 13, 9},
                              {16, 48, 48}, {17, 49, 50}, {3, 100, 1},
-                             {1, 5, 31},  {23, 7, 65}};
+                             {1, 5, 31},  {23, 7, 65},  {2, 100, 96}};
     for (auto [m, k, n] : shapes) {
         SCOPED_TRACE("gemm " + std::to_string(m) + "x" +
                      std::to_string(k) + "x" + std::to_string(n));
         for (bool ta : {false, true}) {
             for (bool tb : {false, true}) {
-                Graph g;
-                int ia = g.input(ta ? Shape{k, m} : Shape{m, k}, "a");
-                int ib = g.input(tb ? Shape{n, k} : Shape{k, n}, "b");
-                Attrs at;
-                at.set("transA", static_cast<int64_t>(ta));
-                at.set("transB", static_cast<int64_t>(tb));
-                int mm = g.add(OpKind::MatMul, {ia, ib}, std::move(at));
-                Tensor a = Tensor::randn(g.node(ia).shape, rng);
-                Tensor b = Tensor::randn(g.node(ib).shape, rng);
-                Tensor scalar = runKernel(g, mm, {a, b}, "blocked");
-                Tensor simd = runKernel(g, mm, {a, b}, "blocked" + sfx);
-                EXPECT_LT(maxRelDiff(scalar, simd), 1e-5f);
+                GemmGraph gg(m, k, n, ta, tb, rng);
+                std::vector<int> nodes = gg.fused;
+                nodes.push_back(gg.mm);
+                nodes.push_back(gg.batched);
+                for (int node : nodes)
+                    EXPECT_LT(maxRelDiff(gg.run(node, ""),
+                                         gg.run(node, tier)),
+                              1e-5f)
+                        << opName(gg.g.node(node).op) << " ta " << ta
+                        << " tb " << tb;
             }
         }
     }
@@ -508,8 +674,6 @@ struct ConvGraph {
         return g.add(OpKind::Conv2dBwdInput, {w, dy}, std::move(a));
     }
 };
-
-const int64_t kActs[] = {kActNone, kActRelu, kActGelu, kActSilu};
 
 TEST(ConvGemm, ScalarForwardEqualsDirectLoops)
 {
@@ -941,6 +1105,61 @@ TEST(TierCompile, Int8ForwardAgreesAcrossTiers)
     Tensor a = simd.run({{"x", x}})[0];
     Tensor b = scalar.run({{"x", x}})[0];
     EXPECT_LT(maxRelDiff(a, b), 1e-4f);
+}
+
+TEST(TierCompile, MlpLinearLayersRunTheGemm)
+{
+    // 64x256 -> 256 linear+relu -> 10, full BP. Both linear layers
+    // fuse into MatMulBiasAct; every GEMM step — the fused forward
+    // layers and the backward MatMuls — binds the host tier.
+    Graph g;
+    Rng rng(108);
+    auto store = std::make_shared<ParamStore>();
+    NetBuilder nb(g, rng, store.get());
+    int x = nb.input({64, 256}, "x");
+    int h = nb.relu(nb.linear(x, 256, "fc1"));
+    int logits = nb.linear(h, 10, "head");
+    int y = nb.input({64}, "y");
+    int loss = nb.crossEntropy(logits, y);
+    Rng r(109);
+    store->set("fc1.bias", Tensor::randn({256}, r));
+    store->set("head.bias", Tensor::randn({10}, r));
+    CompileOptions opt;
+    opt.optim = OptimConfig::sgd(0.01);
+    TrainingProgram train = compileTraining(
+        g, loss, SparseUpdateScheme::full(), opt, store);
+    const Executor &ex = train.executor();
+    int fused_steps = 0, gemm_steps = 0, si = 0;
+    for (int id : ex.order()) {
+        OpKind op = ex.graph().node(id).op;
+        if (isSourceOp(op))
+            continue;
+        const std::string &tier = ex.stepTiers()[si++];
+        if (op != OpKind::MatMul && op != OpKind::MatMulBiasAct &&
+            op != OpKind::BatchMatMul)
+            continue;
+        ++gemm_steps;
+        fused_steps += op == OpKind::MatMulBiasAct;
+        EXPECT_EQ(tier, simdTierName(hostSimdTier())) << opName(op);
+    }
+    EXPECT_EQ(fused_steps, 2);
+    EXPECT_GT(gemm_steps, fused_steps);
+
+    // Scalar: the forward equals the deleted fused loop bit for bit.
+    CompileOptions sopt;
+    sopt.forceScalarTier = true;
+    InferenceProgram inf = compileInference(g, {logits}, sopt, store);
+    Tensor tx = Tensor::randn({64, 256}, r);
+    Tensor got = inf.run({{"x", tx}})[0];
+    Tensor hidden =
+        naiveGemm(tx, store->get("fc1.weight"),
+                  store->get("fc1.bias").data(), kActRelu, 64, 256, 256,
+                  false, false);
+    Tensor want =
+        naiveGemm(hidden, store->get("head.weight"),
+                  store->get("head.bias").data(), kActNone, 64, 256, 10,
+                  false, false);
+    EXPECT_TRUE(sameBits(got, want));
 }
 
 // ---- 4. deployment ---------------------------------------------------
