@@ -2,10 +2,13 @@
  * @file
  * Kernel-variant microbenchmarks (google-benchmark): the Section 4.3
  * claims that backend switching pays — the one GEMM at decode and
- * prefill shapes, im2col / Winograd vs direct convolution, fused vs
+ * prefill shapes, the im2col GEMM vs Winograd convolution, fused vs
  * unfused conv+bias+relu, and the SIMD kernel tier (scalar vs
  * "@avx2"/"@neon" rows for GEMM, im2col conv, fused conv, int8 GEMM
  * and int8 depthwise).
+ *
+ * Row labels name the algorithm ("im2col", "int8"); every row except
+ * "winograd" binds its op's one kernel, "" or the bare tier name.
  *
  * Tier rows register ONLY when this host's registry has the variant,
  * so a scalar-only machine emits a scalar-only JSON; the snapshot's
@@ -204,9 +207,9 @@ BM_ConvVariant(benchmark::State &state, const std::string &variant)
  * Fused vs unfused conv+bias+relu, both on the variant the engine
  * binds: ConvBiasAct's im2col GEMM with its bias+relu epilogue, vs
  * Conv2d on the same GEMM followed by separate broadcast-add and relu
- * dispatches (two extra sweeps over the output). @p variant is
- * "im2col" or its tier form ("im2col@avx2"); scripts/bench_check.py
- * gates fused >= unfused on the tier rows.
+ * dispatches (two extra sweeps over the output). @p variant is "" or
+ * the tier name ("avx2"); scripts/bench_check.py gates fused >=
+ * unfused on the tier rows.
  */
 void
 BM_FusedConvBiasRelu(benchmark::State &state, const std::string &variant)
@@ -257,10 +260,7 @@ BENCHMARK(BM_MatMulThreads)
     ->Args({256, 2})
     ->Args({256, 4})
     ->UseRealTime();
-BENCHMARK_CAPTURE(BM_ConvVariant, direct, std::string(""))
-    ->Arg(16)
-    ->Arg(32);
-BENCHMARK_CAPTURE(BM_ConvVariant, im2col, std::string("im2col"))
+BENCHMARK_CAPTURE(BM_ConvVariant, im2col, std::string(""))
     ->Arg(16)
     ->Arg(32);
 BENCHMARK_CAPTURE(BM_ConvVariant, winograd, std::string("winograd"))
@@ -323,9 +323,8 @@ BM_QuantMatMul(benchmark::State &state, const std::string &variant)
 
 /**
  * Int8 depthwise conv: the MCUNet/MobileNetV2 hot loop. "" is the
- * dequant->fp32->requant reference tier the native kernel replaced;
- * "int8" is the scalar native kernel; the SIMD row registers when the
- * host has the tier. Items processed counts multiply-accumulates.
+ * scalar native kernel; the SIMD row registers when the host has the
+ * tier. Items processed counts multiply-accumulates.
  */
 void
 BM_QuantDwConv(benchmark::State &state, const std::string &variant)
@@ -504,23 +503,20 @@ BM_UnfusedAttention(benchmark::State &state)
     unfusedAttention(state, "");
 }
 
-BENCHMARK_CAPTURE(BM_FusedConvBiasRelu, im2col, std::string("im2col"))
+BENCHMARK_CAPTURE(BM_FusedConvBiasRelu, im2col, std::string(""))
     ->Arg(16)
     ->Arg(32);
-BENCHMARK_CAPTURE(BM_UnfusedConvBiasRelu, im2col, std::string("im2col"))
+BENCHMARK_CAPTURE(BM_UnfusedConvBiasRelu, im2col, std::string(""))
     ->Arg(16)
     ->Arg(32);
 BENCHMARK_CAPTURE(BM_FusedAttention, base, std::string(""))
     ->Arg(4)
     ->Arg(16);
 BENCHMARK(BM_UnfusedAttention)->Arg(4)->Arg(16);
-BENCHMARK_CAPTURE(BM_QuantMatMul, int8, std::string("int8"))
+BENCHMARK_CAPTURE(BM_QuantMatMul, int8, std::string(""))
     ->Arg(64)
     ->Arg(128);
-BENCHMARK_CAPTURE(BM_QuantDwConv, ref, std::string(""))
-    ->Arg(32)
-    ->Arg(96);
-BENCHMARK_CAPTURE(BM_QuantDwConv, int8, std::string("int8"))
+BENCHMARK_CAPTURE(BM_QuantDwConv, int8, std::string(""))
     ->Arg(32)
     ->Arg(96);
 
@@ -574,49 +570,47 @@ struct SimdBenchRegistrar {
         SimdTier t = hostSimdTier();
         if (t == SimdTier::Scalar)
             return;
+        // Each op's tier kernel is the bare tier name; the row names
+        // keep their algorithm label plus "@avx2"/"@neon", which is how
+        // the perf gate's tier detection recognizes them.
         std::string sfx = std::string("@") + simdTierName(t);
-        // The GEMM's tier candidate is the bare tier name (its base
-        // variant is ""), as for FusedAttention below.
         std::string tier = simdTierName(t);
         if (hasKernelVariant(OpKind::MatMul, tier))
             benchmark::RegisterBenchmark(("BM_MatMul/gemm" + sfx).c_str(),
                                          BM_MatMul, tier)
                 ->Apply(gemmShapes);
-        if (hasKernelVariant(OpKind::Conv2d, "im2col" + sfx))
+        if (hasKernelVariant(OpKind::Conv2d, tier))
             benchmark::RegisterBenchmark(
                 ("BM_ConvVariant/im2col" + sfx).c_str(),
-                [sfx](benchmark::State &state) {
-                    BM_ConvVariant(state, "im2col" + sfx);
+                [tier](benchmark::State &state) {
+                    BM_ConvVariant(state, tier);
                 })
                 ->Arg(16)
                 ->Arg(32);
-        if (hasKernelVariant(OpKind::ConvBiasAct, "im2col" + sfx)) {
+        if (hasKernelVariant(OpKind::ConvBiasAct, tier)) {
             benchmark::RegisterBenchmark(
                 ("BM_FusedConvBiasRelu/im2col" + sfx).c_str(),
-                BM_FusedConvBiasRelu, "im2col" + sfx)
+                BM_FusedConvBiasRelu, tier)
                 ->Arg(16)
                 ->Arg(32);
             benchmark::RegisterBenchmark(
                 ("BM_UnfusedConvBiasRelu/im2col" + sfx).c_str(),
-                BM_UnfusedConvBiasRelu, "im2col" + sfx)
+                BM_UnfusedConvBiasRelu, tier)
                 ->Arg(16)
                 ->Arg(32);
         }
-        if (hasKernelVariant(OpKind::QuantMatMul, "int8" + sfx))
+        if (hasKernelVariant(OpKind::QuantMatMul, tier))
             benchmark::RegisterBenchmark(
                 ("BM_QuantMatMul/int8" + sfx).c_str(), BM_QuantMatMul,
-                "int8" + sfx)
+                tier)
                 ->Arg(64)
                 ->Arg(128);
-        if (hasKernelVariant(OpKind::QuantDwConv2d, "int8" + sfx))
+        if (hasKernelVariant(OpKind::QuantDwConv2d, tier))
             benchmark::RegisterBenchmark(
                 ("BM_QuantDwConv/int8" + sfx).c_str(), BM_QuantDwConv,
-                "int8" + sfx)
+                tier)
                 ->Arg(32)
                 ->Arg(96);
-        // FusedAttention's tier candidate is the bare tier name (the
-        // base variant is ""). The row still embeds "@avx2"/"@neon"
-        // so the perf gate's tier detection recognizes it.
         if (hasKernelVariant(OpKind::FusedAttention, tier))
             benchmark::RegisterBenchmark(
                 ("BM_FusedAttention/base" + sfx).c_str(),

@@ -149,9 +149,9 @@ struct CompileReport {
     /**
      * Per-op aggregation of the fallback labels — "op/variant x count"
      * in first-appearance order — so a model that hits the same
-     * missing kernel on every layer (e.g. QuantDwConv2d's absent int8
-     * tier) reads as one line, not N duplicates. Empty when every
-     * selected variant is registered.
+     * missing kernel on every layer (e.g. a plan naming a "winograd"
+     * variant this build lacks on every conv) reads as one line, not
+     * N duplicates. Empty when every selected variant is registered.
      */
     std::string
     fallbackBreakdown() const

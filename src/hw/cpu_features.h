@@ -2,8 +2,8 @@
  * @file
  * Host CPU capability probe backing the SIMD kernel tier.
  *
- * The kernel registry registers vectorized variants ("blocked@avx2",
- * "int8@neon", ...) only for instruction sets the RUNNING host can
+ * The kernel registry registers vectorized variants ("avx2", "neon")
+ * only for instruction sets the RUNNING host can
  * execute, and the executor's bind-time tier selection consults the
  * same probe — so a binary built with -mavx2 TUs still runs (on the
  * scalar tier) on a host without AVX2, and a plan saved with SIMD

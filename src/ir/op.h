@@ -172,8 +172,9 @@ bool isSourceOp(OpKind op);
 /** True for the in-place optimizer ops (output aliases input 0). */
 bool isInPlaceOp(OpKind op);
 
-/** True for the int8-compute ops the QuantizePass emits (the ops the
- *  backend switcher binds to the "int8" kernel variants). */
+/** True for the int8-compute ops the QuantizePass emits (their one
+ *  kernel is integer; the backend switcher counts them in
+ *  PassStats::int8Bound). */
 bool isQuantComputeOp(OpKind op);
 
 /** Approximate FLOP count heuristics live with the op table. */

@@ -1,10 +1,10 @@
 /**
  * @file
- * NCHW convolution kernels: the naive direct Conv2d (its default),
- * the conv-family GEMM drivers, and the depthwise kernels.
+ * NCHW convolution kernels: the conv-family GEMM drivers and the
+ * depthwise kernels.
  *
- * Conv2d "im2col", ConvBiasAct, Conv2dBwdInput and Conv2dBwdWeight
- * all run the one fp32 GEMM with a bias+act epilogue (kutil::Gemm,
+ * Conv2d, ConvBiasAct, Conv2dBwdInput and Conv2dBwdWeight all run
+ * the one fp32 GEMM with a bias+act epilogue (kutil::Gemm,
  * matmul.cc). The drivers here own unfolding, tiling and
  * partitioning; the scalar tier and each SIMD tier (simd_avx2.cc,
  * simd_neon.cc) pass in only their GEMM microkernel.
@@ -21,8 +21,9 @@
  *    Section 2.6). Shards are output channels.
  *
  * The scalar GEMM adds products one at a time in (ci, kh, kw) order
- * starting from the bias, and padded taps add exact zeros, so forward
- * and weight-backward results equal the direct loops value for value.
+ * starting from the bias (or zero), and padded taps add exact zeros,
+ * so forward and weight-backward results equal the direct loops value
+ * for value.
  * The input backward sums a pixel's taps after the channel reduction,
  * so k x k results differ from the direct loop by rounding only.
  */
@@ -37,40 +38,6 @@ namespace pe {
 namespace {
 
 using kutil::ConvGeom;
-
-void
-conv2dNaive(const KernelCtx &c)
-{
-    ConvGeom d = kutil::convGeomOf(*c.inShapes[0], *c.inShapes[1],
-                                   *c.outShape, c.node->attrs);
-    const float *x = c.in[0], *w = c.in[1];
-    int64_t hi = partitionEnd(c, d.n * d.co);
-    for (int64_t idx = c.begin; idx < hi; ++idx) {
-        int64_t n = idx / d.co, co = idx % d.co;
-        for (int64_t ho = 0; ho < d.ho; ++ho) {
-            for (int64_t wo = 0; wo < d.wo; ++wo) {
-                float acc = 0;
-                for (int64_t ci = 0; ci < d.ci; ++ci) {
-                    for (int64_t kh = 0; kh < d.kh; ++kh) {
-                        int64_t ih = ho * d.stride - d.pad + kh;
-                        if (ih < 0 || ih >= d.h)
-                            continue;
-                        for (int64_t kw = 0; kw < d.kw; ++kw) {
-                            int64_t iw = wo * d.stride - d.pad + kw;
-                            if (iw < 0 || iw >= d.w)
-                                continue;
-                            acc += x[((n * d.ci + ci) * d.h + ih) *
-                                         d.w + iw] *
-                                   w[((co * d.ci + ci) * d.kh + kh) *
-                                         d.kw + kw];
-                        }
-                    }
-                }
-                c.out[((n * d.co + co) * d.ho + ho) * d.wo + wo] = acc;
-            }
-        }
-    }
-}
 
 void
 convGemmK(const KernelCtx &c)
@@ -90,13 +57,21 @@ convBwdWeightK(const KernelCtx &c)
     kutil::convBwdWeight(c, kutil::gemmScalar);
 }
 
+/**
+ * Depthwise forward, DwConv2d and DwConvBiasAct alike: each output
+ * pixel sums its in-bounds taps in (kh, kw) order starting from the
+ * channel's bias (zero without one), then applies the "act" epilogue.
+ */
 void
-dwConv2d(const KernelCtx &c)
+dwConvK(const KernelCtx &c)
 {
     const Shape &xs = *c.inShapes[0];
     const Shape &ws = *c.inShapes[1];
     int64_t stride = c.node->attrs.getInt("stride", 1);
     int64_t pad = c.node->attrs.getInt("pad", 0);
+    int64_t act = c.node->attrs.getInt("act", kActNone);
+    const float *bias =
+        c.node->op == OpKind::DwConvBiasAct ? c.in[2] : nullptr;
     int64_t ch = xs[1], h = xs[2], w = xs[3];
     int64_t kh = ws[2], kw = ws[3];
     int64_t ho = (*c.outShape)[2], wo = (*c.outShape)[3];
@@ -108,7 +83,7 @@ dwConv2d(const KernelCtx &c)
         float *op = c.out + (ni * ch + ci) * ho * wo;
         for (int64_t i = 0; i < ho; ++i) {
             for (int64_t j = 0; j < wo; ++j) {
-                float acc = 0;
+                float acc = bias ? bias[ci] : 0.0f;
                 for (int64_t a = 0; a < kh; ++a) {
                     int64_t ih = i * stride - pad + a;
                     if (ih < 0 || ih >= h)
@@ -120,7 +95,7 @@ dwConv2d(const KernelCtx &c)
                         acc += xp[ih * w + iw] * wp[a * kw + b];
                     }
                 }
-                op[i * wo + j] = acc;
+                op[i * wo + j] = kutil::actOf(act, acc);
             }
         }
     }
@@ -467,20 +442,14 @@ registerConvKernels()
     PartitionSpec tiles{kutil::convTiles, 1};
     PartitionSpec dxImages{part::outDim0, 1};
     PartitionSpec dwChannels{part::outDim0, 1};
-    registerKernel(OpKind::Conv2d, "", conv2dNaive, images);
-    // One scalar GEMM kernel serves both forward ops: ConvBiasAct's
-    // default and its "im2col" binding are the same code, so a plan
-    // that binds either reaches the SIMD tier the same way.
     for (OpKind op : {OpKind::Conv2d, OpKind::ConvBiasAct})
-        registerKernel(op, "im2col", convGemmK, tiles,
-                       kutil::convGemmWorkspace);
-    registerKernel(OpKind::ConvBiasAct, "", convGemmK, tiles,
-                   kutil::convGemmWorkspace);
+        registerKernel(op, "", convGemmK, tiles, kutil::convGemmWorkspace);
     registerKernel(OpKind::Conv2dBwdInput, "", convBwdInputK, dxImages,
                    kutil::convGemmWorkspace);
     registerKernel(OpKind::Conv2dBwdWeight, "", convBwdWeightK,
                    dwChannels, kutil::convGemmWorkspace);
-    registerKernel(OpKind::DwConv2d, "", dwConv2d, images);
+    for (OpKind op : {OpKind::DwConv2d, OpKind::DwConvBiasAct})
+        registerKernel(op, "", dwConvK, images);
     registerKernel(OpKind::DwConv2dBwdInput, "", dwConv2dBwdInput,
                    images);
     registerKernel(OpKind::DwConv2dBwdWeight, "", dwConv2dBwdWeight,

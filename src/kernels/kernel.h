@@ -2,11 +2,13 @@
  * @file
  * Kernel ABI and registry.
  *
- * Every op in the catalogue has at least one CPU kernel; several have
- * multiple named variants (e.g. Conv2d: "naive", "im2col", "winograd")
- * which the backend-switching pass selects between — this is the
- * repository's stand-in for the paper's per-backend kernel libraries
- * (SNPE / TensorRT / TVM-tuned / TinyEngine).
+ * Every op in the catalogue has exactly one kernel per SIMD tier: the
+ * default "" (scalar) plus, where the host can run one, a bare tier
+ * variant ("avx2", "neon"). A variant name otherwise names an
+ * algorithm the backend-switching pass chooses at compile time
+ * (Conv2d/ConvBiasAct "winograd" for frozen 3x3 stride-1 weights) —
+ * this is the repository's stand-in for the paper's per-backend
+ * kernel libraries (SNPE / TensorRT / TVM-tuned / TinyEngine).
  *
  * Partitioned execution: a kernel may declare (via PartitionSpec) a
  * one-dimensional partition domain — output rows, flattened output
@@ -245,23 +247,23 @@ simdTierName(SimdTier t)
 SimdTier hostSimdTier();
 
 /**
- * Tier encoded in a variant name. Tier variants are named
- * "<base>@<tier>" ("blocked@avx2", "int8@neon"); a bare tier name
- * ("avx2") is the tier variant of the default kernel. Everything else
- * — including unknown variants — is Scalar.
+ * Tier encoded in a variant name: the bare tier names "avx2" and
+ * "neon" are the tier kernels of an op's one kernel. Everything else
+ * — "", algorithm variants, unknown names — is Scalar.
  */
 SimdTier variantTier(const std::string &variant);
 
-/** Strip any tier suffix: "blocked@avx2" -> "blocked", "avx2" -> "". */
+/** The scalar variant a name binds on a SIMD-less host: "" for a
+ *  tier name, the name itself otherwise. */
 std::string scalarVariantOf(const std::string &variant);
 
 /**
  * Bind-time tier selection: map @p variant to the kernel the program
- * should bind at @p tier. The stored name is first reduced to its
- * scalar base (so a plan saved on an AVX2 host resolves on a NEON
- * host), then upgraded to "<base>@<tier>" when that exact variant is
- * registered. Unknown variants pass through untouched so the
- * registry's fallback accounting still sees them.
+ * should bind at @p tier. A tier name first drops to "" (so a plan
+ * saved on an AVX2 host resolves on a NEON host); "" then upgrades to
+ * the bare tier name when that variant is registered. Algorithm and
+ * unknown variants pass through untouched, so the registry's fallback
+ * accounting still sees them.
  */
 std::string resolveTierVariant(OpKind op, const std::string &variant,
                                SimdTier tier);

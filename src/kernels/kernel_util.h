@@ -156,8 +156,8 @@ im2colUnfold(const T *xn, T *col, int64_t ci, int64_t h, int64_t w,
 
 // ---- the one fp32 GEMM ----------------------------------------------
 //
-// MatMul, BatchMatMul, MatMulBiasAct and the conv family (Conv2d
-// "im2col", ConvBiasAct, Conv2dBwdInput, Conv2dBwdWeight) all run one
+// MatMul, BatchMatMul, MatMulBiasAct and the conv family (Conv2d,
+// ConvBiasAct, Conv2dBwdInput, Conv2dBwdWeight) all run one
 // GEMM with a bias+act epilogue. The drivers below (matmul.cc,
 // conv2d.cc) own operand layout, packing, tiling and partitioning;
 // each SIMD tier supplies only the GEMM microkernel, so every tier

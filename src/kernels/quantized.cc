@@ -3,24 +3,14 @@
  * Quantized kernels (int8 storage, int32 accumulation, float
  * requantization) plus the f32<->f16 storage casts.
  *
- * Two tiers per quant compute op:
- *  - "int8": the real integer kernel. GEMM packs the i8 weight panel
- *    into a per-shard workspace (contiguous K-major rows, like the
- *    blocked fp32 GEMM's packed-B panel); conv uses a per-image i8
- *    im2col column buffer whose padding cells hold the input
- *    zero-point, so (col - zp) vanishes exactly where fp32 would pad
- *    zeros. Both accumulate in int32 and requantize per output
- *    channel.
- *  - "" (default): a dequant->fp32->requant reference kernel that
- *    stages fp32 copies of its operands in its workspace and calls
- *    the existing fp32 kernel. Any op with no "int8" registration
- *    silently runs this tier — which the registry's fallback flag,
- *    and therefore CompileReport::kernelFallbacks, surfaces.
- *
- * Every quant compute op — including depthwise conv, historically the
- * largest fallback — now has a native "int8" kernel; the SIMD tier
- * (simd_avx2.cc / simd_neon.cc) adds "int8@avx2"/"int8@neon"
- * variants that are bit-exact to these (integer accumulation has no
+ * Each quant compute op has one integer kernel: GEMM packs the i8
+ * weight panel into a per-shard workspace (contiguous K-major rows);
+ * conv uses a per-image i8 im2col column buffer whose padding cells
+ * hold the input zero-point, so (col - zp) vanishes exactly where fp32
+ * would pad zeros; depthwise conv is a direct loop. All accumulate in
+ * int32 and requantize per output channel. The SIMD tier
+ * (simd_avx2.cc / simd_neon.cc) registers bare "avx2"/"neon" variants
+ * that are bit-exact to these (integer accumulation has no
  * reassociation hazard; requantization rounds identically).
  *
  * Thread-count invariance: every shard computes its output elements
@@ -259,9 +249,7 @@ constexpr auto qconvWorkspace = kutil::qconvColWorkspace;
  * Native int8 depthwise conv: direct (no workspace), int32
  * accumulation over the (kh, kw) window with out-of-bounds taps
  * skipped — (x - zp) * w summed in ascending tap order, one rounding
- * at requantization. Until this kernel existed, QuantDwConv2d was the
- * largest dequant->fp32->requant fallback on every MCUNet /
- * MobileNetV2 int8 compile.
+ * at requantization.
  */
 void
 qdwConv2dK(const KernelCtx &c)
@@ -306,88 +294,6 @@ qdwConv2dK(const KernelCtx &c)
     }
 }
 
-// ---- reference tier: dequant -> fp32 kernel -> requant ---------------
-
-/**
- * Generic fallback for quant compute ops without an integer kernel.
- * Stages fp32 copies of the activation and weight in the workspace,
- * runs the corresponding fp32 kernel, and requantizes the fp32
- * result. Serial by construction (no PartitionSpec) — this is the
- * slow path the compile report's fallback counter exists to expose.
- */
-template <OpKind PlainOp, OpKind BiasOp, int64_t WAxis>
-void
-refQuantK(const KernelCtx &c)
-{
-    int64_t nx = numel(*c.inShapes[0]);
-    int64_t nw = numel(*c.inShapes[1]);
-    int64_t ny = numel(*c.outShape);
-    float *fx = c.workspace;
-    float *fw = fx + nx;
-    float *fy = fw + nw;
-    Requant rq = requantOf(c);
-
-    const int8_t *qx = reinterpret_cast<const int8_t *>(c.in[0]);
-    for (int64_t i = 0; i < nx; ++i)
-        fx[i] = dequantizeValue(qx[i], rq.xScale, rq.xZp);
-    const int8_t *qw = reinterpret_cast<const int8_t *>(c.in[1]);
-    AxisView av = axisView(*c.inShapes[1], WAxis);
-    for (int64_t i = 0; i < nw; ++i) {
-        float sw = rq.wScales ? rq.wScales[av.channelOf(i)] : rq.wScale;
-        fw[i] = dequantizeValue(qw[i], sw, 0);
-    }
-
-    bool has_bias = rq.bias != nullptr;
-    KernelCtx sub;
-    Node proxy = *c.node; // attrs (stride/pad/trans/act) pass through
-    proxy.op = has_bias ? BiasOp : PlainOp;
-    sub.node = &proxy;
-    sub.in = {fx, fw};
-    sub.inShapes = {c.inShapes[0], c.inShapes[1]};
-    if (has_bias) {
-        sub.in.push_back(rq.bias);
-        sub.inShapes.push_back(c.inShapes[2]);
-    }
-    sub.out = fy;
-    sub.outShape = c.outShape;
-    sub.step = c.step;
-    sub.workspace = fy + ny; // the proxy's own scratch, if any
-    lookupKernel(proxy.op, "")(sub);
-
-    int8_t *out = reinterpret_cast<int8_t *>(c.out);
-    for (int64_t i = 0; i < ny; ++i)
-        out[i] = quantizeValue(fy[i], rq.yScale, rq.yZp);
-}
-
-/** Per-tensor matmul axis resolves transB at run time, so the ref
- *  matmul picks the weight axis dynamically. */
-void
-refQMatmulK(const KernelCtx &c)
-{
-    if (c.node->attrs.getInt("transB", 0) != 0)
-        refQuantK<OpKind::MatMul, OpKind::MatMulBiasAct, 0>(c);
-    else
-        refQuantK<OpKind::MatMul, OpKind::MatMulBiasAct, 1>(c);
-}
-
-WorkspaceSpec
-refQuantWorkspace(const Graph &g, const Node &n)
-{
-    WorkspaceSpec spec;
-    spec.bytesPerShard = 4 * (numel(g.node(n.inputs[0]).shape) +
-                              numel(g.node(n.inputs[1]).shape) +
-                              numel(n.shape));
-    // A biased conv runs the fp32 ConvBiasAct GEMM, which unfolds its
-    // column tiles after the staged copies.
-    if (n.op == OpKind::QuantConv2d) {
-        Node proxy = n;
-        proxy.op = OpKind::ConvBiasAct;
-        spec.bytesPerShard +=
-            kernelWorkspace(g, proxy, "").bytesPerShard;
-    }
-    return spec;
-}
-
 int64_t
 qmatmulRows(const KernelCtx &c)
 {
@@ -410,31 +316,13 @@ registerQuantizedKernels()
     registerKernel(OpKind::Dequantize, "", dequantizeK, elems);
     registerKernel(OpKind::Requantize, "", requantizeK, elems);
 
-    // Elementwise int8 is the same code at both tiers.
     registerKernel(OpKind::QuantAdd, "", qaddK, elems);
-    registerKernel(OpKind::QuantAdd, "int8", qaddK, elems);
     registerKernel(OpKind::QuantRelu, "", qreluK, elems);
-    registerKernel(OpKind::QuantRelu, "int8", qreluK, elems);
-
-    registerKernel(OpKind::QuantMatMul, "", refQMatmulK, {},
-                   refQuantWorkspace);
-    registerKernel(OpKind::QuantMatMul, "int8", qmatmulK, rows,
+    registerKernel(OpKind::QuantMatMul, "", qmatmulK, rows,
                    qmatmulWorkspace);
-
-    registerKernel(OpKind::QuantConv2d, "",
-                   refQuantK<OpKind::Conv2d, OpKind::ConvBiasAct, 0>, {},
-                   refQuantWorkspace);
-    registerKernel(OpKind::QuantConv2d, "int8", qconvK, images,
+    registerKernel(OpKind::QuantConv2d, "", qconvK, images,
                    qconvWorkspace);
-
-    registerKernel(OpKind::QuantDwConv2d, "",
-                   refQuantK<OpKind::DwConv2d, OpKind::DwConvBiasAct, 0>,
-                   {}, refQuantWorkspace);
-    // The native int8 depthwise tier: the former "largest fallback on
-    // every MCUNet int8 compile" (ROADMAP) is now a real kernel, so
-    // int8 compiles report zero QuantDwConv2d fallbacks.
-    registerKernel(OpKind::QuantDwConv2d, "int8", qdwConv2dK,
-                   imageChannels);
+    registerKernel(OpKind::QuantDwConv2d, "", qdwConv2dK, imageChannels);
 }
 
 } // namespace detail

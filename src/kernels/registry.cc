@@ -80,7 +80,6 @@ void registerLossKernels();
 void registerReduceKernels();
 void registerShapeOpKernels();
 void registerOptimApplyKernels();
-void registerFusedKernels();
 void registerQuantizedKernels();
 void registerSimdAvx2Kernels();
 void registerSimdNeonKernels();
@@ -102,11 +101,10 @@ ensureKernelsRegistered()
         registerReduceKernels();
         registerShapeOpKernels();
         registerOptimApplyKernels();
-        registerFusedKernels();
         registerQuantizedKernels();
 #ifndef PE_NO_SIMD
         // Tier variants register only when the RUNNING host can
-        // execute them, so hasKernelVariant("...@avx2") is also a
+        // execute them, so hasKernelVariant(op, "avx2") is also a
         // capability check and a direct lookup can never bind an
         // illegal instruction.
         if (cpuFeatures().avx2)
@@ -150,15 +148,9 @@ hostSimdTier()
 SimdTier
 variantTier(const std::string &variant)
 {
-    std::string base = scalarVariantOf(variant);
-    std::string suffix = base.empty()
-                             ? variant
-                             : (variant.size() > base.size() + 1
-                                    ? variant.substr(base.size() + 1)
-                                    : "");
-    if (suffix == "avx2")
+    if (variant == simdTierName(SimdTier::Avx2))
         return SimdTier::Avx2;
-    if (suffix == "neon")
+    if (variant == simdTierName(SimdTier::Neon))
         return SimdTier::Neon;
     return SimdTier::Scalar;
 }
@@ -166,28 +158,16 @@ variantTier(const std::string &variant)
 std::string
 scalarVariantOf(const std::string &variant)
 {
-    if (variant == "avx2" || variant == "neon")
-        return "";
-    size_t at = variant.rfind('@');
-    if (at != std::string::npos) {
-        std::string suffix = variant.substr(at + 1);
-        if (suffix == "avx2" || suffix == "neon")
-            return variant.substr(0, at);
-    }
-    return variant;
+    return variantTier(variant) == SimdTier::Scalar ? variant : "";
 }
 
 std::string
 resolveTierVariant(OpKind op, const std::string &variant, SimdTier tier)
 {
     std::string base = scalarVariantOf(variant);
-    if (tier != SimdTier::Scalar) {
-        std::string candidate =
-            base.empty() ? std::string(simdTierName(tier))
-                         : base + "@" + simdTierName(tier);
-        if (hasKernelVariant(op, candidate))
-            return candidate;
-    }
+    if (base.empty() && tier != SimdTier::Scalar &&
+        hasKernelVariant(op, simdTierName(tier)))
+        return simdTierName(tier);
     return base;
 }
 

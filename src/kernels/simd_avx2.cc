@@ -1,16 +1,16 @@
 /**
  * @file
  * AVX2/FMA kernel tier: the fp32 GEMM microkernel with its bias+act
- * epilogue (MatMul, BatchMatMul, MatMulBiasAct, Conv2d "im2col",
- * ConvBiasAct, and both conv backward ops), the fp32 depthwise
- * DwConvBiasAct, fused attention, the int8 GEMM with vectorized
+ * epilogue (MatMul, BatchMatMul, MatMulBiasAct, Conv2d, ConvBiasAct,
+ * and both conv backward ops), the fp32 depthwise forward (DwConv2d,
+ * DwConvBiasAct), fused attention, the int8 GEMM with vectorized
  * requantization, and the int8 conv and depthwise conv. Registered as
- * "<base>@avx2" variants of the scalar kernels, with IDENTICAL
+ * the "avx2" variant of each op's scalar kernel, with IDENTICAL
  * partition domains and workspace declarations (kernel_util.h), so the
  * executor can switch tiers at bind time against one memory plan.
  *
  * Numerics contract (README "Kernel tiers"):
- *  - int8 kernels are BIT-EXACT to the scalar "int8" tier: int32
+ *  - int8 kernels are BIT-EXACT to the scalar int8 kernels: int32
  *    accumulation is fully associative, and the vectorized
  *    requantization performs the same IEEE mul/div/clamp sequence
  *    with _mm256_cvtps_epi32 matching lrintf's round-nearest-even.
@@ -222,24 +222,27 @@ convBwdWeightAvx2K(const KernelCtx &c)
     kutil::convBwdWeight(c, gemmAvx2);
 }
 
-// ---- fp32 depthwise conv + bias + act ---------------------------------
+// ---- fp32 depthwise conv (+ bias + act) -------------------------------
 
 /**
- * Same (image, channel) partition as the scalar DwConvBiasAct. Each
+ * Same (image, channel) partition as the scalar depthwise kernel. Each
  * output row runs in 8-pixel vectors: a tap's lanes that fall on
  * padding load exact zeros (masked loads at stride 1, masked gathers
  * otherwise), so every pixel sums its in-bounds taps in the scalar
- * (kh, kw) order from the bias, with FMA rounding. The row tail is a
- * masked store; the epilogue matches the conv GEMM's.
+ * (kh, kw) order from the bias (zero for DwConv2d), with FMA rounding.
+ * The row tail is a masked store; the epilogue matches the conv
+ * GEMM's.
  */
 void
-dwConvBiasActAvx2K(const KernelCtx &c)
+dwConvAvx2K(const KernelCtx &c)
 {
     const Shape &xs = *c.inShapes[0];
     const Shape &ws = *c.inShapes[1];
     int64_t stride = c.node->attrs.getInt("stride", 1);
     int64_t pad = c.node->attrs.getInt("pad", 0);
     int64_t act = c.node->attrs.getInt("act", kActNone);
+    const float *biasp =
+        c.node->op == OpKind::DwConvBiasAct ? c.in[2] : nullptr;
     int64_t ch = xs[1], h = xs[2], w = xs[3];
     int64_t kh = ws[2], kw = ws[3];
     int64_t ho = (*c.outShape)[2], wo = (*c.outShape)[3];
@@ -251,7 +254,7 @@ dwConvBiasActAvx2K(const KernelCtx &c)
         int64_t ni = idx / ch, cc = idx % ch;
         const float *xp = c.in[0] + (ni * ch + cc) * h * w;
         const float *wp = c.in[1] + cc * kh * kw;
-        __m256 bias = _mm256_set1_ps(c.in[2][cc]);
+        __m256 bias = _mm256_set1_ps(biasp ? biasp[cc] : 0.0f);
         float *op = c.out + (ni * ch + cc) * ho * wo;
         for (int64_t j = 0; j < wo; j += 8) {
             __m256i live = laneMask(std::min<int64_t>(8, wo - j));
@@ -618,7 +621,7 @@ qdwPixel(const int8_t *xp, const int8_t *wp, int64_t i, int64_t j,
  * Stride-1 interiors vectorize 8 output pixels per iteration (the
  * window rows are contiguous loads there); borders and other strides
  * run the scalar pixel. Both paths are the same integer accumulation,
- * so the kernel is bit-exact to the scalar "int8" depthwise tier.
+ * so the kernel is bit-exact to the scalar int8 depthwise kernel.
  */
 void
 qdwConvAvx2K(const KernelCtx &c)
@@ -710,23 +713,23 @@ registerSimdAvx2Kernels()
                    kutil::matmulWorkspace);
     PartitionSpec tiles{kutil::convTiles, 1};
     for (OpKind op : {OpKind::Conv2d, OpKind::ConvBiasAct})
-        registerKernel(op, "im2col@avx2", convGemmAvx2K, tiles,
+        registerKernel(op, "avx2", convGemmAvx2K, tiles,
                        kutil::convGemmWorkspace);
     registerKernel(OpKind::Conv2dBwdInput, "avx2", convBwdInputAvx2K,
                    images, kutil::convGemmWorkspace);
     registerKernel(OpKind::Conv2dBwdWeight, "avx2", convBwdWeightAvx2K,
                    PartitionSpec{part::outDim0, 1},
                    kutil::convGemmWorkspace);
-    registerKernel(OpKind::DwConvBiasAct, "avx2", dwConvBiasActAvx2K,
-                   imageChannels);
+    for (OpKind op : {OpKind::DwConv2d, OpKind::DwConvBiasAct})
+        registerKernel(op, "avx2", dwConvAvx2K, imageChannels);
     registerKernel(OpKind::FusedAttention, "avx2", fusedAttentionAvx2K,
                    PartitionSpec{part::outRows, 1},
                    kutil::fusedAttentionWorkspace);
-    registerKernel(OpKind::QuantMatMul, "int8@avx2", qmatmulAvx2K,
+    registerKernel(OpKind::QuantMatMul, "avx2", qmatmulAvx2K,
                    rows, kutil::qgemmWorkspace);
-    registerKernel(OpKind::QuantConv2d, "int8@avx2", qconvAvx2K,
+    registerKernel(OpKind::QuantConv2d, "avx2", qconvAvx2K,
                    images, kutil::qconvColWorkspace);
-    registerKernel(OpKind::QuantDwConv2d, "int8@avx2", qdwConvAvx2K,
+    registerKernel(OpKind::QuantDwConv2d, "avx2", qdwConvAvx2K,
                    imageChannels);
 }
 

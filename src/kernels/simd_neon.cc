@@ -1,15 +1,15 @@
 /**
  * @file
  * NEON kernel tier: the fp32 GEMM with its bias+act epilogue (MatMul,
- * BatchMatMul, MatMulBiasAct, Conv2d "im2col", ConvBiasAct, both conv
- * backward ops), fused attention, int8 GEMM, int8 conv and depthwise —
- * as "<base>@neon" variants with the scalar bases' partition domains
- * and workspace declarations (kernel_util.h).
+ * BatchMatMul, MatMulBiasAct, Conv2d, ConvBiasAct, both conv backward
+ * ops), fused attention, int8 GEMM, int8 conv and depthwise — as the
+ * "neon" variant of each op's scalar kernel, with its partition domain
+ * and workspace declaration (kernel_util.h).
  *
  * NEON is a compile-time baseline on ARM (__ARM_NEON), so this TU
  * needs no special flags; it compiles empty elsewhere. The numerics
  * contract matches the AVX2 tier: int8 accumulation is bit-exact to
- * the scalar "int8" kernels (integer math), and the vectorized
+ * the scalar int8 kernels (integer math), and the vectorized
  * requantization path is only taken on AArch64 where vdivq_f32 /
  * vcvtnq_s32_f32 give IEEE division and round-nearest-even exactly —
  * ARMv7 (and gelu/silu activations anywhere) requantize through the
@@ -505,7 +505,7 @@ registerSimdNeonKernels()
                    kutil::matmulWorkspace);
     PartitionSpec tiles{kutil::convTiles, 1};
     for (OpKind op : {OpKind::Conv2d, OpKind::ConvBiasAct})
-        registerKernel(op, "im2col@neon", convGemmNeonK, tiles,
+        registerKernel(op, "neon", convGemmNeonK, tiles,
                        kutil::convGemmWorkspace);
     registerKernel(OpKind::Conv2dBwdInput, "neon", convBwdInputNeonK,
                    images, kutil::convGemmWorkspace);
@@ -515,11 +515,11 @@ registerSimdNeonKernels()
     registerKernel(OpKind::FusedAttention, "neon", fusedAttentionNeonK,
                    PartitionSpec{part::outRows, 1},
                    kutil::fusedAttentionWorkspace);
-    registerKernel(OpKind::QuantMatMul, "int8@neon", qmatmulNeonK,
+    registerKernel(OpKind::QuantMatMul, "neon", qmatmulNeonK,
                    rows, kutil::qgemmWorkspace);
-    registerKernel(OpKind::QuantConv2d, "int8@neon", qconvNeonK,
+    registerKernel(OpKind::QuantConv2d, "neon", qconvNeonK,
                    images, kutil::qconvColWorkspace);
-    registerKernel(OpKind::QuantDwConv2d, "int8@neon", qdwConvNeonK,
+    registerKernel(OpKind::QuantDwConv2d, "neon", qdwConvNeonK,
                    imageChannels);
 }
 

@@ -57,7 +57,7 @@ struct TraceSpan {
     int64_t begin = 0; ///< shard range over the partition domain
     int64_t end = 0;
     const char *op = "";      ///< op mnemonic (static storage)
-    const char *variant = ""; ///< kernel variant incl. "@avx2"/"@neon"
+    const char *variant = ""; ///< kernel variant ("avx2"/"neon" tiers)
 };
 
 /** Absolute steady_clock nanoseconds (the one trace timebase). */

@@ -551,15 +551,6 @@ reorderForMemory(const Graph &g)
     return order;
 }
 
-namespace {
-
-/** A bare Conv2d (no bias, so no fused epilogue) lowers to the im2col
- *  GEMM once its per-image output has this many pixels; smaller ones
- *  keep the direct kernel and need no unfold workspace. */
-constexpr int64_t kIm2colMinPixels = 64 * 64;
-
-} // namespace
-
 std::vector<std::string>
 switchBackends(Graph &g, const BackendOptions &opts, PassStats *stats)
 {
@@ -567,49 +558,26 @@ switchBackends(Graph &g, const BackendOptions &opts, PassStats *stats)
     for (int id = 0; id < g.numNodes(); ++id) {
         Node &n = g.node(id);
         if (n.op == OpKind::Conv2d || n.op == OpKind::ConvBiasAct) {
-            if (opts.enableWinograd) {
-                const Node &w = g.node(n.inputs[1]);
-                bool frozen = w.op == OpKind::Param && !w.trainable;
-                bool shape_ok = w.shape[2] == 3 && w.shape[3] == 3 &&
-                                n.attrs.getInt("stride", 1) == 1;
-                if (frozen && shape_ok) {
-                    variants[id] = "winograd";
-                    n.attrs.set("staticWeight",
-                                static_cast<int64_t>(1));
-                    if (stats)
-                        ++stats->winogradBound;
-                }
-            }
-            bool gemm_worth_it =
-                n.op == OpKind::ConvBiasAct ||
-                numel(n.shape) / n.shape[0] >= kIm2colMinPixels;
-            if (variants[id].empty() && gemm_worth_it) {
-                // Winograd-ineligible convs lower to the im2col GEMM
-                // with its bias+act epilogue — the variant the SIMD
-                // tier upgrades ("im2col@avx2"/"@neon"). ConvBiasAct
-                // always takes it (its default is the same scalar
-                // GEMM); a bare Conv2d only when its per-image output
-                // is big enough, else the direct kernel.
-                variants[id] = "im2col";
+            const Node &w = g.node(n.inputs[1]);
+            bool frozen = w.op == OpKind::Param && !w.trainable;
+            bool shape_ok = w.shape[2] == 3 && w.shape[3] == 3 &&
+                            n.attrs.getInt("stride", 1) == 1;
+            if (opts.enableWinograd && frozen && shape_ok) {
+                variants[id] = "winograd";
+                n.attrs.set("staticWeight", static_cast<int64_t>(1));
                 if (stats)
-                    ++stats->im2colBound;
+                    ++stats->winogradBound;
+            } else if (stats) {
+                // The default: the im2col GEMM with its bias+act
+                // epilogue, which the tier resolver upgrades at bind.
+                ++stats->im2colBound;
             }
-        } else if (n.op == OpKind::MatMul ||
-                   n.op == OpKind::BatchMatMul ||
-                   n.op == OpKind::MatMulBiasAct) {
-            // One GEMM at every size: the default kernel, which the
-            // tier resolver upgrades to "avx2"/"neon" at bind time.
-            if (stats)
-                ++stats->gemmBound;
-        } else if (isQuantComputeOp(n.op)) {
-            // Quant compute ops want the real int8 kernels (every
-            // quant compute op has one, depthwise included). Should a
-            // future op ship without its int8 kernel, bind falls back
-            // to the dequant->fp32->requant reference kernel and the
-            // fallback counters surface exactly that.
-            variants[id] = "int8";
-            if (stats)
-                ++stats->int8Bound;
+        } else if (stats && (n.op == OpKind::MatMul ||
+                             n.op == OpKind::BatchMatMul ||
+                             n.op == OpKind::MatMulBiasAct)) {
+            ++stats->gemmBound;
+        } else if (stats && isQuantComputeOp(n.op)) {
+            ++stats->int8Bound;
         }
     }
     return variants;

@@ -14,8 +14,8 @@
  *                      parameter update as soon as its gradient is
  *                      ready so gradient buffers are recycled
  *                      ("Operator Reordering and In-place Update").
- *  - switchBackends(): per-node kernel-variant selection, including
- *                      binding frozen 3x3 convolutions to Winograd.
+ *  - switchBackends(): per-node kernel-variant selection: binds
+ *                      frozen 3x3 stride-1 convolutions to Winograd.
  *  - constantFold():   evaluate Const-only subgraphs at compile time.
  */
 
@@ -36,10 +36,10 @@ struct PassStats {
     int nodesRemoved = 0;
     int nodesFused = 0;
     int nodesFolded = 0;
-    int winogradBound = 0;
-    int gemmBound = 0;   ///< GEMMs (MatMul family) on the one GEMM
-    int int8Bound = 0;   ///< quant compute ops bound to "int8" variants
-    int im2colBound = 0; ///< convs bound to the "im2col" GEMM lowering
+    int winogradBound = 0; ///< convs bound to "winograd"
+    int gemmBound = 0;     ///< GEMMs (MatMul family) on the one GEMM
+    int int8Bound = 0;     ///< quant compute ops on their int8 kernels
+    int im2colBound = 0;   ///< convs on the im2col GEMM (the default)
 };
 
 /** Nodes reachable from the graph outputs (plus in-place effects). */
@@ -96,14 +96,12 @@ struct BackendOptions {
 };
 
 /**
- * Choose a kernel variant per node. Frozen-weight 3x3 stride-1
- * convolutions get "winograd" (weight transform cached across steps),
- * other ConvBiasActs and large Conv2ds the "im2col" GEMM; every GEMM
- * (MatMul, BatchMatMul, MatMulBiasAct) keeps the default, which is
- * the one GEMM at every size; quant compute ops get "int8" (ops whose
- * int8 kernel is not registered fall back to the dequant->fp32->
- * requant reference kernel, surfaced via CompileReport's fallback
- * counters); everything else keeps the default.
+ * Choose a kernel variant per node. The only choice left is an
+ * algorithm: frozen-weight 3x3 stride-1 convolutions get "winograd"
+ * (weight transform cached across steps). Every other node keeps its
+ * op's one kernel, "" (convs: the im2col GEMM; GEMMs: the one GEMM;
+ * quant compute ops: the int8 kernel), which the executor upgrades to
+ * the host's SIMD tier at bind time. The stats count each family.
  */
 std::vector<std::string> switchBackends(Graph &g,
                                         const BackendOptions &opts,

@@ -566,18 +566,25 @@ serializePlan(const Graph &g, const ProgramArtifact &art,
 namespace {
 
 /**
- * The current name of a stored variant. MatMul and BatchMatMul once
- * had a naive default and a "blocked" variant; both are now the one
- * GEMM, so "blocked[@tier]" names that GEMM's tier. It declares no
- * more workspace than "blocked" did, so the plan's placements fit.
+ * The current name of a stored variant — the one place retired names
+ * live. MatMul/BatchMatMul once had a "blocked" GEMM, Conv2d and
+ * ConvBiasAct an "im2col" GEMM, and the quant compute ops an "int8"
+ * kernel beside their defaults, each with "<base>@avx2"/"@neon" tier
+ * forms. Each is now its op's one kernel, so "<base>" loads as "" and
+ * "<base>@<tier>" as the bare tier. None declares more workspace than
+ * the retired kernel did, so the plan's placements fit.
  */
 std::string
-currentVariantName(OpKind op, const std::string &v)
+currentVariantName(const std::string &v)
 {
-    bool gemm = op == OpKind::MatMul || op == OpKind::BatchMatMul;
-    if (!gemm || scalarVariantOf(v) != "blocked")
+    size_t at = v.find('@');
+    std::string base = v.substr(0, at);
+    if (base != "blocked" && base != "im2col" && base != "int8")
         return v;
-    return v == "blocked" ? "" : v.substr(v.find('@') + 1);
+    if (at == std::string::npos)
+        return "";
+    std::string tier = v.substr(at + 1);
+    return tier == "avx2" || tier == "neon" ? tier : v;
 }
 
 PlanData
@@ -740,8 +747,7 @@ deserializeImpl(const std::string &bytes)
                 "plan: variants do not cover the graph");
         pd.artifact.variants.reserve(count);
         for (uint32_t i = 0; i < count; ++i)
-            pd.artifact.variants.push_back(currentVariantName(
-                pd.graph.node(static_cast<int>(i)).op, r.str()));
+            pd.artifact.variants.push_back(currentVariantName(r.str()));
         r.finish();
     }
 

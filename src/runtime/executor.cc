@@ -100,7 +100,7 @@ Executor::Executor(const Graph &g, ProgramArtifact art,
     constBufs_ = std::move(art.constPool);
     validateArtifact();
     store_.materialize(g_);
-    // Deploy-time tier resolution: a plan compiled with "@avx2"
+    // Deploy-time tier resolution: a plan compiled with "avx2"
     // variants loads on any host — variants this registry lacks are
     // downgraded to their scalar base, and scalar variants may be
     // upgraded to this host's tier, but only when the swap provably

@@ -366,8 +366,8 @@ class Executor
 
     /**
      * Re-point every step's variant at the kernel tier this host can
-     * actually execute. Planning path: upgrades scalar variants to
-     * "@avx2"/"@neon" equivalents (tier variants register with the
+     * actually execute. Planning path: upgrades "" to the bare
+     * "avx2"/"neon" variant (tier variants register with the
      * scalar base's partition domain and workspace bytes, so launch
      * and memory planning see identical geometry). Artifact path:
      * additionally DOWNGRADES variants the local registry lacks —

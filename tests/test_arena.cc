@@ -212,8 +212,6 @@ TEST(ArenaPlan, WorkspaceSpaceIsReusedAcrossSteps)
     g.markOutput(c2);
     std::vector<int> order = naturalOrder(g);
     std::vector<std::string> variants(g.numNodes());
-    variants[c1] = "im2col";
-    variants[c2] = "im2col";
     LaunchSummary launches = planLaunches(g, order, variants, 1);
     ASSERT_EQ(launches.workspaces.size(), 2u);
     MemoryPlan plan = planMemory(g, order, launches.workspaces);
@@ -403,15 +401,15 @@ TEST(ArenaExec, Im2colVariantShardsPerImage)
         ex.run();
         return std::make_pair(ex.fetch(conv), ex.shardedSteps());
     };
-    auto [naive, s0] = run(1, "");
-    auto [serial, s1] = run(1, "im2col");
-    auto [parallel, s2] = run(4, "im2col");
+    // Conv2d's one kernel is the im2col GEMM; its value parity with
+    // the direct loop is asserted in test_simd (ConvGemm).
+    auto [serial, s1] = run(1, "");
+    auto [parallel, s2] = run(4, "");
     EXPECT_EQ(s1, 0);
     EXPECT_GT(s2, 0) << "im2col should shard over images now";
     EXPECT_EQ(std::memcmp(serial.data(), parallel.data(),
                           sizeof(float) * serial.size()),
               0);
-    EXPECT_LT(maxAbsDiff(naive, serial), 1e-4f);
 }
 
 TEST(ArenaExec, ReportIncludesWorkspaceInFootprint)

@@ -1,8 +1,9 @@
 /**
  * @file
- * Kernel-level tests: every optimized variant must agree with the
- * naive reference (im2col conv, Winograd; the one GEMM's references
- * live in test_simd.cc next to its tier parity), fused ops must match
+ * Kernel-level tests: every conv kernel must agree with a naive
+ * direct loop (the im2col GEMM, Winograd; the GEMM's bit-level
+ * references live in test_simd.cc next to its tier parity), fused ops
+ * must match
  * their unfused compositions, and numerically delicate kernels
  * (softmax, cross-entropy) must be stable.
  */
@@ -42,6 +43,37 @@ struct ConvParam {
     int64_t ci, co, hw, stride, pad;
 };
 
+/** Naive direct 3x3 conv of a [2, ci, hw, hw] input: (ci, kh, kw)
+ *  taps per output pixel, padded taps skipped. */
+Tensor
+naiveConv3x3(const Tensor &x, const Tensor &w, const ConvParam &p)
+{
+    int64_t o = (p.hw + 2 * p.pad - 3) / p.stride + 1;
+    Tensor y({2, p.co, o, o});
+    for (int64_t n = 0; n < 2; ++n)
+        for (int64_t co = 0; co < p.co; ++co)
+            for (int64_t i = 0; i < o; ++i)
+                for (int64_t j = 0; j < o; ++j) {
+                    float acc = 0;
+                    for (int64_t ci = 0; ci < p.ci; ++ci)
+                        for (int64_t a = 0; a < 3; ++a) {
+                            int64_t ih = i * p.stride - p.pad + a;
+                            if (ih < 0 || ih >= p.hw)
+                                continue;
+                            for (int64_t b = 0; b < 3; ++b) {
+                                int64_t iw = j * p.stride - p.pad + b;
+                                if (iw < 0 || iw >= p.hw)
+                                    continue;
+                                acc += x[((n * p.ci + ci) * p.hw + ih) *
+                                             p.hw + iw] *
+                                       w[((co * p.ci + ci) * 3 + a) * 3 + b];
+                            }
+                        }
+                    y[((n * p.co + co) * o + i) * o + j] = acc;
+                }
+    return y;
+}
+
 class ConvVariants : public ::testing::TestWithParam<ConvParam>
 {
 };
@@ -59,9 +91,8 @@ TEST_P(ConvVariants, Im2colMatchesNaive)
     int conv = g.add(OpKind::Conv2d, {x, w}, std::move(a));
     Tensor tx = Tensor::randn({2, ci, hw, hw}, rng);
     Tensor tw = Tensor::randn({co, ci, 3, 3}, rng, 0.3f);
-    Tensor naive = runKernel(g, conv, {tx, tw}, "");
-    Tensor im2col = runKernel(g, conv, {tx, tw}, "im2col");
-    EXPECT_LT(maxAbsDiff(naive, im2col), 1e-4f);
+    Tensor im2col = runKernel(g, conv, {tx, tw}, "");
+    EXPECT_LT(maxAbsDiff(naiveConv3x3(tx, tw, GetParam()), im2col), 1e-4f);
 }
 
 TEST_P(ConvVariants, WinogradMatchesNaiveWhenStride1)
@@ -79,9 +110,8 @@ TEST_P(ConvVariants, WinogradMatchesNaiveWhenStride1)
     int conv = g.add(OpKind::Conv2d, {x, w}, std::move(a));
     Tensor tx = Tensor::randn({2, ci, hw, hw}, rng);
     Tensor tw = Tensor::randn({co, ci, 3, 3}, rng, 0.3f);
-    Tensor naive = runKernel(g, conv, {tx, tw}, "");
     Tensor wino = runKernel(g, conv, {tx, tw}, "winograd");
-    EXPECT_LT(maxAbsDiff(naive, wino), 1e-3f);
+    EXPECT_LT(maxAbsDiff(naiveConv3x3(tx, tw, GetParam()), wino), 1e-3f);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -91,9 +121,9 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvParam{8, 16, 12, 1, 1}));
 
 /**
- * Reference for ConvBiasAct: the composition it replaces — Conv2d's
- * naive direct kernel, then a per-channel bias add, then the
- * activation. Adds a Conv2d node over @p x / @p w to @p g.
+ * Reference for ConvBiasAct: the composition it replaces — Conv2d,
+ * then a per-channel bias add, then the activation. Adds a Conv2d
+ * node over @p x / @p w to @p g.
  */
 Tensor
 convBiasActReference(Graph &g, int x, int w, const Tensor &tx,
@@ -133,14 +163,10 @@ TEST(FusedKernels, ConvBiasReluMatchesComposition)
     Tensor tw = Tensor::randn({6, 3, 3, 3}, rng, 0.3f);
     Tensor tb = Tensor::randn({6, 1, 1}, rng);
     Tensor ref = convBiasActReference(g, x, w, tx, tw, tb, 1, 1, kActRelu);
-    // The default kernel and the "im2col" binding are one GEMM kernel;
-    // the bias seeds its accumulator instead of being added last, so
-    // the two orders agree to rounding.
-    for (const char *variant : {"", "im2col"}) {
-        SCOPED_TRACE(variant);
-        Tensor got = runKernel(g, fused, {tx, tw, tb}, variant);
-        EXPECT_LT(maxAbsDiff(got, ref), 1e-4f);
-    }
+    // The GEMM's bias seeds its accumulator instead of being added
+    // last, so the two orders agree to rounding.
+    Tensor got = runKernel(g, fused, {tx, tw, tb}, "");
+    EXPECT_LT(maxAbsDiff(got, ref), 1e-4f);
 }
 
 TEST(FusedKernels, WinogradConvBiasActMatchesComposition)

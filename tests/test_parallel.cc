@@ -252,15 +252,15 @@ convAttrs(int64_t stride, int64_t pad)
     return a;
 }
 
-/** This host's bare tier variant name ("avx2"/"neon"), optionally
- *  behind @p sep ("@avx2"); "" on a scalar-only host, which makes the
- *  tier cases rerun the scalar kernels. */
+/** This host's tier variant name ("avx2"/"neon"); "" on a
+ *  scalar-only host, which makes the tier cases rerun the scalar
+ *  kernels. */
 std::string
-hostTier(const std::string &sep = "")
+hostTier()
 {
     detail::ensureKernelsRegistered();
     SimdTier t = hostSimdTier();
-    return t == SimdTier::Scalar ? "" : sep + simdTierName(t);
+    return t == SimdTier::Scalar ? "" : simdTierName(t);
 }
 
 TEST(KernelPartition, Elementwise)
@@ -407,8 +407,7 @@ TEST(KernelPartition, FusedKernels)
                                {{1, 3, 12, 12}, {5, 3, 3, 3}, 1, 1},
                                {{1, 6, 12, 12}, {7, 6, 1, 1}, 1, 0},
                                {{2, 4, 16, 16}, {3, 4, 5, 5}, 2, 2}};
-    for (const std::string &v : {std::string("im2col"),
-                                 "im2col" + hostTier("@")}) {
+    for (const std::string &v : {std::string(""), hostTier()}) {
         for (const Case &cs : cases) {
             SCOPED_TRACE("variant '" + v + "', x " +
                          std::to_string(cs.x[0]) + "x" +
@@ -429,6 +428,10 @@ TEST(KernelPartition, FusedKernels)
     expectShardInvariant({OpKind::DwConvBiasAct,
                           {{2, 4, 9, 9}, {4, 1, 3, 3}, {4, 1, 1}},
                           db},
+                         hostTier());
+    expectShardInvariant({OpKind::DwConv2d,
+                          {{2, 4, 9, 9}, {4, 1, 3, 3}},
+                          convAttrs(1, 1)},
                          hostTier());
 }
 

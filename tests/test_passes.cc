@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/engine.h"
 #include "frontend/builder.h"
 #include "kernels/kernel.h"
 #include "passes/passes.h"
@@ -300,10 +301,11 @@ TEST(BackendSwitch, WinogradRequiresFrozen3x3Stride1)
 
 TEST(BackendSwitch, ConvBiasActBindsGemmWhereWinogradIsIneligible)
 {
-    // A fused conv is the im2col GEMM with a bias+act epilogue unless
-    // Winograd can take it (frozen 3x3 stride 1): trainable weights,
-    // stride 2 and non-3x3 kernels all bind the GEMM variant, however
-    // small the output — there is no direct fused kernel to fall to.
+    // A conv keeps its op's one kernel — "", the im2col GEMM with a
+    // bias+act epilogue — unless Winograd can take it (frozen 3x3
+    // stride 1): trainable weights, stride 2 and non-3x3 kernels all
+    // keep "", however small the output. There is no direct conv
+    // kernel to fall to.
     Graph g;
     int x = g.input({1, 4, 6, 6}, "x");
     int w_frozen = g.param({4, 4, 3, 3}, "wf", false);
@@ -326,11 +328,55 @@ TEST(BackendSwitch, ConvBiasActBindsGemmWhereWinogradIsIneligible)
     PassStats stats;
     auto variants = switchBackends(g, BackendOptions{}, &stats);
     EXPECT_EQ(variants[c_wino], "winograd");
-    EXPECT_EQ(variants[c_train], "im2col");
-    EXPECT_EQ(variants[c_s2], "im2col");
-    EXPECT_EQ(variants[c_1x1], "im2col");
+    EXPECT_EQ(variants[c_train], "");
+    EXPECT_EQ(variants[c_s2], "");
+    EXPECT_EQ(variants[c_1x1], "");
     EXPECT_EQ(stats.winogradBound, 1);
     EXPECT_EQ(stats.im2colBound, 3);
+
+    // Unfused, a bare Conv2d with an 8x8 output binds "" too and the
+    // executor resolves it to the host tier; a frozen 3x3 stride-1
+    // Conv2d beside it still gets "winograd".
+    Graph u;
+    auto store = std::make_shared<ParamStore>();
+    Rng rng(9);
+    int ux = u.input({1, 4, 16, 16}, "x");
+    int uw = u.param({4, 4, 3, 3}, "w", false);
+    store->set("w", Tensor::randn({4, 4, 3, 3}, rng));
+    Attrs s1, s2;
+    s1.set("stride", static_cast<int64_t>(1));
+    s1.set("pad", static_cast<int64_t>(1));
+    s2.set("stride", static_cast<int64_t>(2));
+    s2.set("pad", static_cast<int64_t>(1));
+    int wino = u.add(OpKind::Conv2d, {ux, uw}, std::move(s1));
+    int bare = u.add(OpKind::Conv2d, {ux, uw}, std::move(s2));
+    ASSERT_EQ(u.node(bare).shape, (Shape{1, 4, 8, 8}));
+    CompileOptions opt;
+    opt.fuse = false;
+    InferenceProgram prog = compileInference(u, {wino, bare}, opt, store);
+    const Executor &ex = prog.executor();
+    std::vector<std::string> bound = ex.exportArtifact().variants;
+    std::string host = hostSimdTier() == SimdTier::Scalar
+                           ? ""
+                           : simdTierName(hostSimdTier());
+    int convs = 0, si = 0;
+    for (int id : ex.order()) {
+        const Node &n = ex.graph().node(id);
+        if (isSourceOp(n.op))
+            continue;
+        const std::string &tier = ex.stepTiers()[si++];
+        if (n.op != OpKind::Conv2d)
+            continue;
+        ++convs;
+        if (n.attrs.getInt("stride", 1) == 1) {
+            EXPECT_EQ(bound[id], "winograd");
+            EXPECT_EQ(tier, "scalar");
+        } else {
+            EXPECT_EQ(bound[id], host);
+            EXPECT_EQ(tier, simdTierName(hostSimdTier()));
+        }
+    }
+    EXPECT_EQ(convs, 2);
 }
 
 TEST(LiveSet, TracksThroughChains)

@@ -13,8 +13,9 @@
  *  4. Robust load errors: truncated file, bad magic, version
  *     mismatch, checksum failure and unknown-kernel-name each throw
  *     their own typed error, and a corrupt-one-byte fuzz loop never
- *     produces UB or a silent success. Retired GEMM variant names
- *     ("blocked") load as the one GEMM.
+ *     produces UB or a silent success. Retired variant names
+ *     ("blocked", "im2col", "int8" and their "@<tier>" forms) load as
+ *     the op's one kernel.
  *  5. Serving: a ServingEngine built from a plan directory serves
  *     bit-identical results to one that compiled its buckets, with
  *     zero compile work at startup; calibrate() wired into the bucket
@@ -84,9 +85,23 @@ makeCnn(int64_t batch)
     return b;
 }
 
+/** Compile @p outputs of @p g as a heap-held program. */
+std::unique_ptr<InferenceProgram>
+compileOwned(const Graph &g, std::vector<int> outputs,
+             const CompileOptions &opt, std::shared_ptr<ParamStore> store)
+{
+    CompiledGraph c = compileInferenceGraph(g, outputs, opt, store);
+    ExecOptions eopt;
+    eopt.variants = std::move(c.variants);
+    eopt.numThreads = opt.numThreads;
+    return std::make_unique<InferenceProgram>(
+        std::move(c.graph), store, std::move(eopt),
+        std::move(c.report), std::move(c.order));
+}
+
 /** Calibrate (for non-fp32) and compile @p b at (precision, nt). */
 std::unique_ptr<InferenceProgram>
-compileProg(Built &b, Precision p, int nt)
+compileProg(Built &b, Precision p, int nt, bool fuse = true)
 {
     if (p != Precision::F32) {
         std::vector<Feeds> calib;
@@ -98,14 +113,8 @@ compileProg(Built &b, Precision p, int nt)
     CompileOptions opt;
     opt.precision = p;
     opt.numThreads = nt;
-    CompiledGraph c =
-        compileInferenceGraph(b.graph, {b.logits}, opt, b.store);
-    ExecOptions eopt;
-    eopt.variants = std::move(c.variants);
-    eopt.numThreads = nt;
-    return std::make_unique<InferenceProgram>(
-        std::move(c.graph), b.store, std::move(eopt),
-        std::move(c.report), std::move(c.order));
+    opt.fuse = fuse;
+    return compileOwned(b.graph, {b.logits}, opt, b.store);
 }
 
 std::string
@@ -354,37 +363,130 @@ struct TwoGemms {
     }
 };
 
-TEST(PlanCompat, RetiredBlockedGemmNamesBindTheOneGemm)
+/** A compiled program plus what it takes to rerun it. */
+struct CompatProgram {
+    std::string name;
+    std::unique_ptr<InferenceProgram> prog;
+    std::shared_ptr<ParamStore> store;
+    Feeds feeds;
+};
+
+CompatProgram
+compatCnn(const std::string &name, Precision p, bool fuse)
 {
-    // Plans name kernels by registry variant. MatMul's "blocked" pair
-    // is retired: "blocked" and "blocked@<tier>" now load as the one
-    // GEMM (its tier on this host), count no fallback, and run bit
-    // for bit like a fresh compile.
-    TwoGemms t;
-    auto prog = compileInference(t.g, {t.out}, CompileOptions{}, t.store);
-    Tensor want = prog.run(t.feeds)[0];
-    ProgramArtifact art = prog.executor().exportArtifact();
-    for (const std::string &old :
-         {std::string("blocked"), std::string("blocked@avx2"),
-          std::string("blocked@neon")}) {
-        SCOPED_TRACE(old);
-        ProgramArtifact a = art;
-        a.variants[t.xw] = old;
-        a.variants[t.out] = old;
-        std::string blob = serializePlan(prog.graph(), a, prog.report(),
-                                         *t.store);
-        auto loaded = loadPlanFromBytes(blob);
-        EXPECT_EQ(loaded->report().kernelFallbacks, 0);
-        const Executor &ex = loaded->executor();
-        int si = 0;
-        for (int id : ex.order()) {
-            if (isSourceOp(ex.graph().node(id).op))
-                continue;
-            EXPECT_EQ(ex.stepTiers()[si++],
-                      simdTierName(hostSimdTier()));
-        }
-        EXPECT_TRUE(bitEqual(loaded->run(t.feeds)[0], want));
+    Built b = makeCnn(2);
+    CompatProgram cp;
+    cp.name = name;
+    cp.prog = compileProg(b, p, 1, fuse);
+    cp.store = b.store;
+    cp.feeds = {{"x", seededInput(b.inShape)}};
+    return cp;
+}
+
+TEST(PlanCompat, RetiredVariantNamesBindTheOneKernel)
+{
+    // Plans name kernels by registry variant. MatMul once had a
+    // "blocked" GEMM, Conv2d and ConvBiasAct an "im2col" GEMM, and the
+    // quant compute ops an "int8" kernel, each beside its op's default
+    // and with "@avx2"/"@neon" tier forms. Every (op, stored name)
+    // pair below must load as the op's one kernel at this host's tier,
+    // count no fallback, and run bit for bit like a fresh compile.
+    std::vector<CompatProgram> progs;
+    {
+        TwoGemms t;
+        CompatProgram cp;
+        cp.name = "gemms";
+        cp.prog = compileOwned(t.g, {t.out}, CompileOptions{}, t.store);
+        cp.store = t.store;
+        cp.feeds = t.feeds;
+        progs.push_back(std::move(cp));
     }
+    progs.push_back(compatCnn("cnn fused", Precision::F32, true));
+    progs.push_back(compatCnn("cnn unfused", Precision::F32, false));
+    progs.push_back(compatCnn("cnn int8", Precision::Int8, true));
+    struct Row {
+        size_t prog;
+        OpKind op;
+        std::string base;
+    };
+    const std::vector<Row> rows = {
+        {0, OpKind::MatMul, "blocked"},
+        {1, OpKind::ConvBiasAct, "im2col"},
+        {2, OpKind::Conv2d, "im2col"},
+        {3, OpKind::QuantConv2d, "int8"},
+        {3, OpKind::QuantDwConv2d, "int8"},
+        {3, OpKind::QuantMatMul, "int8"},
+        {3, OpKind::QuantAdd, "int8"},
+    };
+    for (const Row &row : rows) {
+        const CompatProgram &cp = progs[row.prog];
+        Tensor want = cp.prog->run(cp.feeds)[0];
+        // The tier this op's one kernel binds on this host.
+        std::string tier = simdTierName(
+            variantTier(resolveTierVariant(row.op, "", hostSimdTier())));
+        for (const char *sfx : {"", "@avx2", "@neon"}) {
+            std::string stored = row.base + sfx;
+            SCOPED_TRACE(cp.name + ": " + opName(row.op) + "/" + stored);
+            ProgramArtifact a = cp.prog->executor().exportArtifact();
+            int hits = 0;
+            for (int id : a.order) {
+                if (cp.prog->graph().node(id).op == row.op &&
+                    scalarVariantOf(a.variants[id]).empty()) {
+                    a.variants[id] = stored;
+                    ++hits;
+                }
+            }
+            ASSERT_GT(hits, 0) << "the program has no such step";
+            std::string blob = serializePlan(cp.prog->graph(), a,
+                                             cp.prog->report(), *cp.store);
+            auto loaded = loadPlanFromBytes(blob);
+            EXPECT_EQ(loaded->report().kernelFallbacks, 0);
+            const Executor &ex = loaded->executor();
+            int si = 0, bound = 0;
+            for (int id : ex.order()) {
+                OpKind op = ex.graph().node(id).op;
+                if (isSourceOp(op))
+                    continue;
+                const std::string &t = ex.stepTiers()[si++];
+                if (op == row.op && a.variants[id] == stored) {
+                    EXPECT_EQ(t, tier);
+                    ++bound;
+                }
+            }
+            EXPECT_EQ(bound, hits);
+            EXPECT_TRUE(bitEqual(loaded->run(cp.feeds)[0], want));
+        }
+    }
+}
+
+TEST(PlanCompat, BareConvWithoutTileWorkspaceIsATypedError)
+{
+    // A bare k x k Conv2d once ran a direct loop with no workspace;
+    // its one kernel now unfolds column tiles into one. A plan written
+    // before that change reserves no tile workspace for the step, so
+    // the load fails typed, up front — not at bind.
+    CompatProgram cp = compatCnn("cnn unfused", Precision::F32, false);
+    ProgramArtifact art = cp.prog->executor().exportArtifact();
+    const Graph &g = cp.prog->graph();
+    int conv = -1;
+    for (int id : art.order) {
+        const Node &n = g.node(id);
+        if (n.op == OpKind::Conv2d && n.attrs.getInt("stride", 1) == 2 &&
+            g.node(n.inputs[1]).shape[2] > 1)
+            conv = id;
+    }
+    ASSERT_GE(conv, 0) << "the model lost its strided k x k conv";
+    auto &ws = art.plan.workspaces;
+    size_t before = ws.size();
+    ws.erase(std::remove_if(ws.begin(), ws.end(),
+                            [&](const WorkspacePlacement &w) {
+                                return w.node == conv;
+                            }),
+             ws.end());
+    ASSERT_EQ(ws.size() + 1, before) << "the conv had no tile workspace";
+    art.variants[conv] = "";
+    std::string blob = serializePlan(g, art, cp.prog->report(), *cp.store);
+    EXPECT_THROW(loadPlanFromBytes(blob), PlanUnknownKernelError);
 }
 
 TEST(PlanCompat, GemmPanelMissingFromPlanIsATypedError)

@@ -4,9 +4,9 @@
  *
  * Layers of guarantees, mirroring the subsystem's structure:
  *  1. Quant math: parameter choice, code round-trips, f16 casts.
- *  2. Kernels: the "int8" integer kernels match the dequant->fp32->
- *     requant reference tier within one output quantum; elementwise
- *     requant semantics are exact.
+ *  2. Kernels: the integer kernels match the dequant->fp32->requant
+ *     reference (refQuant, the parity oracle kept in this file) within
+ *     one output quantum; elementwise requant semantics are exact.
  *  3. Calibration: observers stamp sound ranges; moving-average
  *     differs from min/max under outliers.
  *  4. QuantizePass: forward region rewritten, backward stays fp32,
@@ -28,6 +28,7 @@
 #include "frontend/builder.h"
 #include "frontend/models.h"
 #include "kernels/kernel.h"
+#include "kernels/kernel_util.h"
 #include "quant/quant.h"
 #include "testutil.h"
 
@@ -91,6 +92,69 @@ maxCodeDiff(const I8Buf &a, const I8Buf &b, int64_t n)
         worst = std::max(worst, std::abs(static_cast<int>(pa[i]) -
                                          static_cast<int>(pb[i])));
     return worst;
+}
+
+/**
+ * The dequant->fp32->requant parity oracle for the quant compute ops
+ * (QuantMatMul, QuantConv2d, QuantDwConv2d), called directly on a
+ * bound ctx: dequantize the activation and weight, run the op's fp32
+ * kernel, requantize the result. The integer kernels must stay within
+ * one output code of it.
+ */
+void
+refQuant(const Graph &g, const KernelCtx &c)
+{
+    const Node &n = *c.node;
+    kutil::Requant rq = kutil::requantOf(c);
+    std::vector<float> fx(static_cast<size_t>(numel(*c.inShapes[0])));
+    std::vector<float> fw(static_cast<size_t>(numel(*c.inShapes[1])));
+    std::vector<float> fy(static_cast<size_t>(numel(*c.outShape)));
+    const int8_t *qx = reinterpret_cast<const int8_t *>(c.in[0]);
+    for (size_t i = 0; i < fx.size(); ++i)
+        fx[i] = dequantizeValue(qx[i], rq.xScale, rq.xZp);
+    // Per-channel weight scales run along the output-channel axis:
+    // dim 1 of a [K, N] matmul weight, dim 0 otherwise.
+    bool kn = n.op == OpKind::QuantMatMul &&
+              n.attrs.getInt("transB", 0) == 0;
+    kutil::AxisView av = kutil::axisView(*c.inShapes[1], kn ? 1 : 0);
+    const int8_t *qw = reinterpret_cast<const int8_t *>(c.in[1]);
+    for (size_t i = 0; i < fw.size(); ++i) {
+        float sw = rq.wScales
+                       ? rq.wScales[av.channelOf(static_cast<int64_t>(i))]
+                       : rq.wScale;
+        fw[i] = dequantizeValue(qw[i], sw, 0);
+    }
+
+    bool has_bias = rq.bias != nullptr;
+    Node proxy = n; // attrs (stride/pad/transB/act) pass through
+    switch (n.op) {
+      case OpKind::QuantMatMul:
+        proxy.op = has_bias ? OpKind::MatMulBiasAct : OpKind::MatMul;
+        break;
+      case OpKind::QuantConv2d:
+        proxy.op = has_bias ? OpKind::ConvBiasAct : OpKind::Conv2d;
+        break;
+      default:
+        proxy.op = has_bias ? OpKind::DwConvBiasAct : OpKind::DwConv2d;
+        break;
+    }
+    KernelCtx sub;
+    sub.node = &proxy;
+    sub.in = {fx.data(), fw.data()};
+    sub.inShapes = {c.inShapes[0], c.inShapes[1]};
+    if (has_bias) {
+        sub.in.push_back(rq.bias);
+        sub.inShapes.push_back(c.inShapes[2]);
+    }
+    sub.out = fy.data();
+    sub.outShape = c.outShape;
+    DirectWorkspace ws;
+    ws.attach(sub, g, proxy);
+    lookupKernel(proxy.op)(sub);
+
+    int8_t *out = reinterpret_cast<int8_t *>(c.out);
+    for (size_t i = 0; i < fy.size(); ++i)
+        out[i] = quantizeValue(fy[i], rq.yScale, rq.yZp);
 }
 
 // ---- 1. quant math ---------------------------------------------------
@@ -181,8 +245,8 @@ struct QMatmulFixture {
         node = g.add(OpKind::QuantMatMul, inputs, std::move(at));
     }
 
-    void
-    run(const std::string &variant, I8Buf &dst)
+    KernelCtx
+    ctx(I8Buf &dst) const
     {
         const Node &nd = g.node(node);
         KernelCtx c;
@@ -199,7 +263,14 @@ struct QMatmulFixture {
             &g.node(nd.inputs[nd.inputs.size() - 1]).shape);
         c.out = dst.asF32Mut();
         c.outShape = &nd.shape;
-        ws.attach(c, g, nd, variant);
+        return c;
+    }
+
+    void
+    run(const std::string &variant, I8Buf &dst)
+    {
+        KernelCtx c = ctx(dst);
+        ws.attach(c, g, g.node(node), variant);
         lookupKernel(OpKind::QuantMatMul, variant)(c);
     }
 
@@ -227,8 +298,8 @@ TEST(QuantKernels, Int8GemmMatchesDequantReference)
     for (bool with_bias : {false, true}) {
         QMatmulFixture f(with_bias, with_bias ? kActRelu : kActNone);
         I8Buf fast(f.m * f.n), slow(f.m * f.n);
-        f.run("int8", fast);
-        f.run("", slow); // reference tier: dequant -> fp32 -> requant
+        f.run("", fast);
+        refQuant(f.g, f.ctx(slow));
         // Same math, different rounding paths: within one code.
         EXPECT_LE(maxCodeDiff(fast, slow, f.m * f.n), 1);
         // And against an explicit float reference within one quantum.
@@ -255,7 +326,7 @@ TEST(QuantKernels, Int8GemmShardsAreBitIdentical)
 {
     QMatmulFixture f(true, kActRelu);
     I8Buf full(f.m * f.n), sharded(f.m * f.n);
-    f.run("int8", full);
+    f.run("", full);
     // Replay the same kernel over explicit row shards.
     const Node &nd = f.g.node(f.node);
     KernelCtx c;
@@ -271,8 +342,8 @@ TEST(QuantKernels, Int8GemmShardsAreBitIdentical)
     for (int64_t b = 0; b < f.m; b += 5) {
         c.begin = b;
         c.end = std::min(b + 5, f.m);
-        ws.attach(c, f.g, nd, "int8");
-        lookupKernel(OpKind::QuantMatMul, "int8")(c);
+        ws.attach(c, f.g, nd);
+        lookupKernel(OpKind::QuantMatMul)(c);
     }
     EXPECT_EQ(maxCodeDiff(full, sharded, f.m * f.n), 0);
 }
@@ -309,7 +380,7 @@ TEST(QuantKernels, Int8ConvMatchesDequantReference)
                      std::move(at));
     const Node &nd = g.node(node);
 
-    auto run = [&](const std::string &variant, I8Buf &dst) {
+    auto ctx = [&](I8Buf &dst) {
         KernelCtx c;
         c.node = &nd;
         c.in = {qx.asF32(), qw.asF32(), bias.data(), wscales.data()};
@@ -317,14 +388,17 @@ TEST(QuantKernels, Int8ConvMatchesDequantReference)
                       &g.node(ib).shape, &g.node(is).shape};
         c.out = dst.asF32Mut();
         c.outShape = &nd.shape;
-        DirectWorkspace ws;
-        ws.attach(c, g, nd, variant);
-        lookupKernel(OpKind::QuantConv2d, variant)(c);
+        return c;
     };
     int64_t out_n = numel(nd.shape);
     I8Buf fast(out_n), slow(out_n);
-    run("int8", fast);
-    run("", slow);
+    {
+        KernelCtx c = ctx(fast);
+        DirectWorkspace ws;
+        ws.attach(c, g, nd);
+        lookupKernel(OpKind::QuantConv2d)(c);
+    }
+    refQuant(g, ctx(slow));
     EXPECT_LE(maxCodeDiff(fast, slow, out_n), 1);
 
     // Per-image shards replay bit-identically.
@@ -340,10 +414,61 @@ TEST(QuantKernels, Int8ConvMatchesDequantReference)
     for (int64_t img = 0; img < N; ++img) {
         c.begin = img;
         c.end = img + 1;
-        ws.attach(c, g, nd, "int8");
-        lookupKernel(OpKind::QuantConv2d, "int8")(c);
+        ws.attach(c, g, nd);
+        lookupKernel(OpKind::QuantConv2d)(c);
     }
     EXPECT_EQ(maxCodeDiff(fast, sharded, out_n), 0);
+}
+
+TEST(QuantKernels, Int8DepthwiseMatchesDequantReference)
+{
+    // The native int8 depthwise kernel vs the dequant->fp32->requant
+    // reference: same math, different rounding path.
+    Rng rng(105);
+    int64_t N = 2, Ch = 6, HW = 10, K = 3;
+    Tensor x = Tensor::uniform({N, Ch, HW, HW}, rng, -1.0f, 1.0f);
+    Tensor w = Tensor::uniform({Ch, 1, K, K}, rng, -0.6f, 0.6f);
+    Tensor bias = Tensor::uniform({Ch, 1, 1}, rng, -0.3f, 0.3f);
+    QuantParams xp = chooseQuantParams(-1.0f, 1.0f);
+    QuantParams yp = chooseQuantParams(-3.0f, 3.0f);
+    I8Buf qx(x.size()), qw(w.size());
+    quantizeInto(x, xp.scale, xp.zeroPoint, qx);
+    std::vector<float> wscales = quantizeWeight(w, 0, qw);
+
+    Graph g;
+    int ix = g.input({N, Ch, HW, HW}, "x");
+    int iw = g.input({Ch, 1, K, K}, "w");
+    int ib = g.input({Ch, 1, 1}, "b");
+    int is = g.input({Ch}, "s");
+    Attrs at;
+    at.set("stride", static_cast<int64_t>(1));
+    at.set("pad", static_cast<int64_t>(1));
+    at.set("act", static_cast<int64_t>(kActRelu));
+    at.set("hasBias", static_cast<int64_t>(1));
+    at.set("perChannel", static_cast<int64_t>(1));
+    at.set("xScale", static_cast<double>(xp.scale));
+    at.set("xZp", static_cast<int64_t>(xp.zeroPoint));
+    at.set("yScale", static_cast<double>(yp.scale));
+    at.set("yZp", static_cast<int64_t>(yp.zeroPoint));
+    int node =
+        g.add(OpKind::QuantDwConv2d, {ix, iw, ib, is}, std::move(at));
+    const Node &nd = g.node(node);
+    int64_t out_n = numel(nd.shape);
+
+    auto ctx = [&](I8Buf &dst) {
+        KernelCtx c;
+        c.node = &nd;
+        c.in = {qx.asF32(), qw.asF32(), bias.data(), wscales.data()};
+        c.inShapes = {&g.node(ix).shape, &g.node(iw).shape,
+                      &g.node(ib).shape, &g.node(is).shape};
+        c.out = dst.asF32Mut();
+        c.outShape = &nd.shape;
+        return c;
+    };
+    I8Buf native(out_n), reference(out_n);
+    lookupKernel(OpKind::QuantDwConv2d)(ctx(native));
+    refQuant(g, ctx(reference));
+    EXPECT_LE(maxCodeDiff(native, reference, out_n), 1);
 }
 
 TEST(QuantKernels, AddAndReluRequantExactly)
@@ -377,7 +502,7 @@ TEST(QuantKernels, AddAndReluRequantExactly)
     c.inShapes = {&g.node(ia).shape, &g.node(ib).shape};
     c.out = out.asF32Mut();
     c.outShape = &nd.shape;
-    lookupKernel(OpKind::QuantAdd, "int8")(c);
+    lookupKernel(OpKind::QuantAdd)(c);
     const int8_t *q = reinterpret_cast<const int8_t *>(out.asF32());
     for (int64_t i = 0; i < 32; ++i) {
         float want = dequantizeValue(
@@ -410,7 +535,7 @@ TEST(QuantKernels, AddAndReluRequantExactly)
     rc.inShapes = {&g.node(ia).shape};
     rc.out = rout.asF32Mut();
     rc.outShape = &rn.shape;
-    lookupKernel(OpKind::QuantRelu, "int8")(rc);
+    lookupKernel(OpKind::QuantRelu)(rc);
     const int8_t *r = reinterpret_cast<const int8_t *>(rout.asF32());
     for (int64_t i = 0; i < 32; ++i) {
         float v = dequantizeValue(

@@ -6,13 +6,15 @@
  *     variant passthrough the fallback counters depend on.
  *  2. Parity properties, swept over random shapes (non-multiple-of-
  *     vector-width tails, 1-element edges): int8 SIMD kernels are
- *     BIT-EXACT to the scalar "int8" tier; fp32 SIMD kernels match
+ *     BIT-EXACT to the scalar int8 kernels; fp32 SIMD kernels match
  *     scalar within 1e-5 relative (FMA rounding contract); the scalar
- *     GEMM and conv family equal the loops they replaced, and every
- *     GEMM tier computes each row independently of the others.
+ *     GEMM, conv family and depthwise kernels equal the loops they
+ *     replaced, and every GEMM tier computes each row independently
+ *     of the others.
  *  3. Compile integration: an MCUNet-style int8 compile reports zero
- *     QuantDwConv2d fallbacks and binds SIMD steps on a SIMD host;
- *     forceScalarTier pins everything to scalar.
+ *     fallbacks and binds SIMD steps on a SIMD host; an unfused fp32
+ *     MCUNet binds no scalar conv; forceScalarTier pins everything to
+ *     scalar.
  *  4. Deployment: a plan saved with SIMD variants loads on a host
  *     whose tier is forced to scalar (setSimdTierForTesting), binds
  *     the scalar bases, and reproduces the scalar compile bit for
@@ -46,20 +48,19 @@ namespace {
 
 using test::Feeds;
 
-/** "" on a scalar-only host, else this host's variant suffix. */
+/** This host's tier variant ("avx2"/"neon"); "" on a scalar-only
+ *  host. */
 std::string
-hostSuffix()
+hostTier()
 {
     detail::ensureKernelsRegistered();
     SimdTier t = hostSimdTier();
-    if (t == SimdTier::Scalar)
-        return "";
-    return std::string("@") + simdTierName(t);
+    return t == SimdTier::Scalar ? "" : simdTierName(t);
 }
 
 #define SKIP_WITHOUT_SIMD()                                             \
     do {                                                                \
-        if (hostSuffix().empty())                                       \
+        if (hostTier().empty())                                         \
             GTEST_SKIP() << "no SIMD tier on this host";                \
     } while (0)
 
@@ -167,38 +168,36 @@ TEST(TierApi, VariantNamingAndClassification)
     EXPECT_STREQ(simdTierName(SimdTier::Avx2), "avx2");
     EXPECT_STREQ(simdTierName(SimdTier::Neon), "neon");
 
+    // Only the bare tier names are tiers; "" and algorithm variants
+    // are scalar kernels.
     EXPECT_EQ(variantTier(""), SimdTier::Scalar);
-    EXPECT_EQ(variantTier("im2col"), SimdTier::Scalar);
+    EXPECT_EQ(variantTier("winograd"), SimdTier::Scalar);
     EXPECT_EQ(variantTier("avx2"), SimdTier::Avx2);
-    EXPECT_EQ(variantTier("im2col@avx2"), SimdTier::Avx2);
-    EXPECT_EQ(variantTier("int8@neon"), SimdTier::Neon);
+    EXPECT_EQ(variantTier("neon"), SimdTier::Neon);
     // Unknown variants are NOT tiers: they classify scalar and pass
     // through resolution unchanged, so the fallback counters still
-    // see them (test_parallel asserts on exactly that).
+    // see them (test_parallel asserts on exactly that). Retired
+    // "<base>@<tier>" names are unknown here: only the plan loader
+    // maps them (test_plan).
     EXPECT_EQ(variantTier("no-such-backend"), SimdTier::Scalar);
+    EXPECT_EQ(variantTier("im2col@avx2"), SimdTier::Scalar);
 
-    EXPECT_EQ(scalarVariantOf("im2col@avx2"), "im2col");
-    EXPECT_EQ(scalarVariantOf("int8@neon"), "int8");
     EXPECT_EQ(scalarVariantOf("avx2"), "");
-    EXPECT_EQ(scalarVariantOf("im2col"), "im2col");
+    EXPECT_EQ(scalarVariantOf("neon"), "");
+    EXPECT_EQ(scalarVariantOf("winograd"), "winograd");
     EXPECT_EQ(scalarVariantOf(""), "");
 }
 
 TEST(TierApi, ResolutionUpgradesOnlyRegisteredVariants)
 {
     detail::ensureKernelsRegistered();
-    // Scalar tier always lands on the scalar base, whatever was asked.
-    EXPECT_EQ(resolveTierVariant(OpKind::Conv2d, "im2col@avx2",
-                                 SimdTier::Scalar),
-              "im2col");
-    EXPECT_EQ(
-        resolveTierVariant(OpKind::Conv2d, "im2col", SimdTier::Scalar),
-        "im2col");
-    EXPECT_EQ(resolveTierVariant(OpKind::MatMul, "avx2", SimdTier::Scalar),
-              "");
-    // Unknown variants resolve to themselves under the scalar tier's
-    // base rule only when they look like tier names; a plain unknown
-    // string survives untouched.
+    // Scalar tier always lands on the scalar kernel, whatever was
+    // asked.
+    for (OpKind op : {OpKind::Conv2d, OpKind::MatMul, OpKind::QuantConv2d})
+        for (const char *v : {"", "avx2", "neon"})
+            EXPECT_EQ(resolveTierVariant(op, v, SimdTier::Scalar), "")
+                << opName(op) << " '" << v << "'";
+    // A plain unknown string survives untouched.
     EXPECT_EQ(resolveTierVariant(OpKind::MatMul, "no-such-backend",
                                  SimdTier::Scalar),
               "no-such-backend");
@@ -206,16 +205,15 @@ TEST(TierApi, ResolutionUpgradesOnlyRegisteredVariants)
     SimdTier host = hostSimdTier();
     if (host == SimdTier::Scalar)
         return;
-    std::string want = "im2col" + hostSuffix();
-    ASSERT_TRUE(hasKernelVariant(OpKind::Conv2d, want));
-    EXPECT_EQ(resolveTierVariant(OpKind::Conv2d, "im2col", host), want);
-    // Every GEMM's default upgrades to the bare tier name.
+    // Every op with a tier kernel upgrades "" to the bare tier name.
     for (OpKind op :
-         {OpKind::MatMul, OpKind::BatchMatMul, OpKind::MatMulBiasAct})
+         {OpKind::MatMul, OpKind::BatchMatMul, OpKind::MatMulBiasAct,
+          OpKind::Conv2d, OpKind::ConvBiasAct, OpKind::QuantMatMul,
+          OpKind::QuantConv2d, OpKind::QuantDwConv2d})
         EXPECT_EQ(resolveTierVariant(op, "", host), simdTierName(host))
             << opName(op);
     // Ops with no tier kernel stay on their scalar variant — there is
-    // no "winograd@avx2", and the bare default has no tier either.
+    // no tier form of "winograd", and Relu has only its default.
     EXPECT_EQ(resolveTierVariant(OpKind::Conv2d, "winograd", host),
               "winograd");
     EXPECT_EQ(resolveTierVariant(OpKind::Relu, "", host), "");
@@ -244,14 +242,24 @@ TEST(TierApi, CapabilityGatedRegistration)
         EXPECT_EQ(has_neon, f.neon);
     }
     if (has_avx2 || has_neon) {
-        std::string sfx = hostSuffix();
-        for (OpKind op : {OpKind::QuantMatMul, OpKind::QuantConv2d,
-                          OpKind::QuantDwConv2d})
-            EXPECT_TRUE(hasKernelVariant(op, "int8" + sfx));
-        EXPECT_TRUE(hasKernelVariant(OpKind::Conv2d, "im2col" + sfx));
-        for (OpKind op : {OpKind::BatchMatMul, OpKind::MatMulBiasAct})
-            EXPECT_TRUE(hasKernelVariant(op, sfx.substr(1)));
+        std::string tier = hostTier();
+        for (OpKind op :
+             {OpKind::QuantMatMul, OpKind::QuantConv2d,
+              OpKind::QuantDwConv2d, OpKind::Conv2d, OpKind::ConvBiasAct,
+              OpKind::BatchMatMul, OpKind::MatMulBiasAct})
+            EXPECT_TRUE(hasKernelVariant(op, tier)) << opName(op);
     }
+    if (has_avx2) {
+        for (OpKind op : {OpKind::DwConv2d, OpKind::DwConvBiasAct})
+            EXPECT_TRUE(hasKernelVariant(op, "avx2")) << opName(op);
+    }
+    // No kernel is registered under a retired "<base>@<tier>" name.
+    for (const char *v : {"im2col", "im2col@avx2", "int8", "int8@avx2",
+                          "int8@neon", "blocked@avx2"})
+        for (OpKind op : {OpKind::Conv2d, OpKind::QuantConv2d,
+                          OpKind::QuantAdd, OpKind::MatMul})
+            EXPECT_FALSE(hasKernelVariant(op, v))
+                << opName(op) << "/" << v;
 }
 
 // ---- 2. parity properties --------------------------------------------
@@ -378,8 +386,8 @@ TEST(Gemm, RowsMatchOneRowProductsAtEveryTier)
     // serial decode runs M 1-row GEMMs: per tier, row i of the M-row
     // product must be bit-identical to the 1-row product of row i.
     std::vector<std::string> tiers = {""};
-    if (!hostSuffix().empty())
-        tiers.push_back(hostSuffix().substr(1));
+    if (!hostTier().empty())
+        tiers.push_back(hostTier());
     Rng rng(107);
     const int64_t m = 13, k = 50, n = 96;
     for (const std::string &tier : tiers) {
@@ -418,7 +426,7 @@ TEST(Gemm, RowsMatchOneRowProductsAtEveryTier)
 TEST(SimdParity, Fp32GemmWithin1e5Relative)
 {
     SKIP_WITHOUT_SIMD();
-    std::string tier = hostSuffix().substr(1); // "avx2" / "neon"
+    std::string tier = hostTier();
     Rng rng(101);
     // Shapes chosen to hit register-tile and vector-width tails: the
     // 6-row x 16-col and GEMV microkernel tiles, 1-element edges, and
@@ -452,7 +460,7 @@ TEST(SimdParity, Fp32GemmWithin1e5Relative)
 TEST(SimdParity, Fp32Im2colConvWithin1e5Relative)
 {
     SKIP_WITHOUT_SIMD();
-    std::string sfx = hostSuffix();
+    std::string tier = hostTier();
     Rng rng(102);
     struct S {
         int64_t ci, co, hw, k, stride, pad;
@@ -472,15 +480,15 @@ TEST(SimdParity, Fp32Im2colConvWithin1e5Relative)
         int conv = g.add(OpKind::Conv2d, {x, w}, std::move(a));
         Tensor tx = Tensor::randn({2, ci, hw, hw}, rng);
         Tensor tw = Tensor::randn({co, ci, k, k}, rng, 0.3f);
-        Tensor scalar = runKernel(g, conv, {tx, tw}, "im2col");
-        Tensor simd = runKernel(g, conv, {tx, tw}, "im2col" + sfx);
+        Tensor scalar = runKernel(g, conv, {tx, tw}, "");
+        Tensor simd = runKernel(g, conv, {tx, tw}, tier);
         EXPECT_LT(maxRelDiff(scalar, simd), 1e-5f);
     }
 }
 
 // ---- 2b. the fp32 conv family as one GEMM ----------------------------
 //
-// Conv2d "im2col", ConvBiasAct and both conv backward ops run one GEMM
+// Conv2d, ConvBiasAct and both conv backward ops run one GEMM
 // with a bias+act epilogue. The references below are the direct loops
 // those kernels replaced, kept here verbatim in summation order: the
 // scalar GEMM must reproduce them value for value wherever it sums in
@@ -618,6 +626,16 @@ directConvBwdInput(const ConvCase &cs, const Tensor &w, const Tensor &dy)
     return dx;
 }
 
+/** Elements whose bits differ. */
+int64_t
+bitMismatches(const Tensor &a, const Tensor &b)
+{
+    int64_t bad = 0;
+    for (int64_t i = 0; i < a.size(); ++i)
+        bad += std::memcmp(a.data() + i, b.data() + i, sizeof(float)) != 0;
+    return bad;
+}
+
 /** Elements that differ in value (-0 == +0). */
 int64_t
 valueMismatches(const Tensor &a, const Tensor &b)
@@ -685,18 +703,18 @@ TEST(ConvGemm, ScalarForwardEqualsDirectLoops)
             int node = cg.forward(cs, act);
             Tensor want =
                 directConvBiasAct(cs, cg.tx, cg.tw, cg.tb.data(), act);
-            for (const char *v : {"", "im2col"})
-                EXPECT_EQ(valueMismatches(
-                              runKernel(cg.g, node,
-                                        {cg.tx, cg.tw, cg.tb}, v),
-                              want),
-                          0)
-                    << "variant '" << v << "'";
+            EXPECT_EQ(valueMismatches(
+                          runKernel(cg.g, node, {cg.tx, cg.tw, cg.tb}, ""),
+                          want),
+                      0);
         }
-        // Conv2d "im2col": no bias, no activation.
+        // A bare Conv2d (no bias, no activation) runs the same GEMM at
+        // every size — the cases include 1-, 16- and 81-pixel outputs,
+        // which once ran a separate direct loop — and reproduces that
+        // loop (directConvBiasAct without a bias) bit for bit.
         int conv = cg.g.add(OpKind::Conv2d, {cg.x, cg.w}, convAttrs(cs));
-        EXPECT_EQ(valueMismatches(
-                      runKernel(cg.g, conv, {cg.tx, cg.tw}, "im2col"),
+        EXPECT_EQ(bitMismatches(
+                      runKernel(cg.g, conv, {cg.tx, cg.tw}, ""),
                       directConvBiasAct(cs, cg.tx, cg.tw, nullptr,
                                         kActNone)),
                   0);
@@ -740,8 +758,7 @@ TEST(ConvGemm, ScalarBwdInputMatchesDirectLoop)
 TEST(SimdParity, Fp32ConvFamilyWithin1e5Relative)
 {
     SKIP_WITHOUT_SIMD();
-    std::string sfx = hostSuffix();
-    std::string tier = sfx.substr(1); // "avx2" / "neon"
+    std::string tier = hostTier();
     for (const ConvCase &cs : kConvCases) {
         SCOPED_TRACE(cs.name());
         ConvGraph cg(cs);
@@ -751,8 +768,7 @@ TEST(SimdParity, Fp32ConvFamilyWithin1e5Relative)
             EXPECT_LT(
                 maxRelDiff(
                     runKernel(cg.g, node, {cg.tx, cg.tw, cg.tb}, ""),
-                    runKernel(cg.g, node, {cg.tx, cg.tw, cg.tb},
-                              "im2col" + sfx)),
+                    runKernel(cg.g, node, {cg.tx, cg.tw, cg.tb}, tier)),
                 1e-5f);
         }
         for (int64_t limit : {cs.co, (cs.co + 1) / 2}) {
@@ -770,40 +786,150 @@ TEST(SimdParity, Fp32ConvFamilyWithin1e5Relative)
     }
 }
 
+// ---- 2c. depthwise forward ---------------------------------------------
+//
+// DwConv2d and DwConvBiasAct run one kernel per tier. The references
+// below are the two scalar loops that kernel replaced, kept verbatim:
+// the scalar kernel must reproduce them bit for bit, and the tier must
+// stay within 1e-5 relative of the scalar kernel.
+
+struct DwCase {
+    int64_t n, ch, hw, k, stride, pad;
+
+    std::string
+    name() const
+    {
+        return "dw n" + std::to_string(n) + " ch" + std::to_string(ch) +
+               " hw" + std::to_string(hw) + " k" + std::to_string(k) +
+               " s" + std::to_string(stride) + " p" + std::to_string(pad);
+    }
+    int64_t out() const { return (hw + 2 * pad - k) / stride + 1; }
+};
+
+/** Widths below, at and past one 8-lane vector; borders on every
+ *  side; stride 2 (gathered taps); a 1x1 plane. */
+const std::vector<DwCase> kDwCases = {
+    {2, 3, 16, 3, 1, 1}, {1, 4, 9, 5, 2, 2}, {2, 5, 7, 7, 1, 3},
+    {1, 2, 13, 3, 2, 0}, {1, 3, 4, 5, 1, 2}, {1, 2, 1, 3, 1, 1},
+    {2, 6, 11, 3, 1, 0},
+};
+
+/** The replaced depthwise loops: taps in (kh, kw) order from the bias
+ *  (DwConvBiasAct) or from zero (DwConv2d, @p bias null), padded taps
+ *  skipped, then the activation (DwConvBiasAct only). */
+Tensor
+directDwConv(const DwCase &cs, const Tensor &x, const Tensor &w,
+             const float *bias, int64_t act)
+{
+    int64_t o = cs.out();
+    Tensor y({cs.n, cs.ch, o, o});
+    for (int64_t n = 0; n < cs.n; ++n)
+        for (int64_t c = 0; c < cs.ch; ++c) {
+            const float *xp = x.data() + (n * cs.ch + c) * cs.hw * cs.hw;
+            const float *wp = w.data() + c * cs.k * cs.k;
+            float *op = y.data() + (n * cs.ch + c) * o * o;
+            for (int64_t i = 0; i < o; ++i)
+                for (int64_t j = 0; j < o; ++j) {
+                    float acc = bias ? bias[c] : 0.0f;
+                    for (int64_t a = 0; a < cs.k; ++a) {
+                        int64_t ih = i * cs.stride - cs.pad + a;
+                        if (ih < 0 || ih >= cs.hw)
+                            continue;
+                        for (int64_t b = 0; b < cs.k; ++b) {
+                            int64_t iw = j * cs.stride - cs.pad + b;
+                            if (iw < 0 || iw >= cs.hw)
+                                continue;
+                            acc += xp[ih * cs.hw + iw] * wp[a * cs.k + b];
+                        }
+                    }
+                    op[i * o + j] = bias ? kutil::actOf(act, acc) : acc;
+                }
+        }
+    return y;
+}
+
+/** One depthwise input, weight and bias per case. */
+struct DwGraph {
+    Graph g;
+    int x, w, b;
+    Tensor tx, tw, tb;
+
+    explicit DwGraph(const DwCase &cs, uint64_t seed = 105)
+    {
+        Rng rng(seed);
+        x = g.input({cs.n, cs.ch, cs.hw, cs.hw}, "x");
+        w = g.param({cs.ch, 1, cs.k, cs.k}, "w", true);
+        b = g.param({cs.ch, 1, 1}, "b", true);
+        tx = Tensor::randn(g.node(x).shape, rng);
+        tw = Tensor::randn(g.node(w).shape, rng, 0.3f);
+        tb = Tensor::randn(g.node(b).shape, rng);
+    }
+
+    Attrs
+    attrs(const DwCase &cs) const
+    {
+        Attrs a;
+        a.set("stride", cs.stride);
+        a.set("pad", cs.pad);
+        return a;
+    }
+
+    int
+    plain(const DwCase &cs)
+    {
+        return g.add(OpKind::DwConv2d, {x, w}, attrs(cs));
+    }
+
+    int
+    fused(const DwCase &cs, int64_t act)
+    {
+        Attrs a = attrs(cs);
+        a.set("act", act);
+        return g.add(OpKind::DwConvBiasAct, {x, w, b}, std::move(a));
+    }
+};
+
+TEST(DwConv, ScalarEqualsDirectLoops)
+{
+    for (const DwCase &cs : kDwCases) {
+        SCOPED_TRACE(cs.name());
+        DwGraph dg(cs);
+        EXPECT_EQ(bitMismatches(
+                      runKernel(dg.g, dg.plain(cs), {dg.tx, dg.tw}, ""),
+                      directDwConv(cs, dg.tx, dg.tw, nullptr, kActNone)),
+                  0)
+            << "DwConv2d";
+        for (int64_t act : kActs)
+            EXPECT_EQ(bitMismatches(
+                          runKernel(dg.g, dg.fused(cs, act),
+                                    {dg.tx, dg.tw, dg.tb}, ""),
+                          directDwConv(cs, dg.tx, dg.tw, dg.tb.data(),
+                                       act)),
+                      0)
+                << "DwConvBiasAct act " << act;
+    }
+}
+
 TEST(SimdParity, Fp32DwConvBiasActWithin1e5Relative)
 {
-    if (!hasKernelVariant(OpKind::DwConvBiasAct, "avx2"))
+    std::string tier = hostTier();
+    if (tier.empty() || !hasKernelVariant(OpKind::DwConvBiasAct, tier))
         GTEST_SKIP() << "no depthwise fp32 tier on this host";
-    Rng rng(105);
-    struct S {
-        int64_t n, ch, hw, k, stride, pad;
-    };
-    // Widths below, at and past one 8-lane vector; borders on every
-    // side; stride 2 (gathered taps); a 1x1 plane.
-    std::vector<S> shapes = {{2, 3, 16, 3, 1, 1}, {1, 4, 9, 5, 2, 2},
-                             {2, 5, 7, 7, 1, 3},  {1, 2, 13, 3, 2, 0},
-                             {1, 3, 4, 5, 1, 2},  {1, 2, 1, 3, 1, 1},
-                             {2, 6, 11, 3, 1, 0}};
-    for (auto [n, ch, hw, k, stride, pad] : shapes) {
-        SCOPED_TRACE("dw n" + std::to_string(n) + " ch" +
-                     std::to_string(ch) + " hw" + std::to_string(hw) +
-                     " k" + std::to_string(k) + " s" +
-                     std::to_string(stride) + " p" + std::to_string(pad));
+    for (const DwCase &cs : kDwCases) {
+        SCOPED_TRACE(cs.name());
+        DwGraph dg(cs);
+        // The bias-less DwConv2d runs the same tier kernel with its
+        // accumulators starting at zero.
+        int plain = dg.plain(cs);
+        EXPECT_LT(maxRelDiff(runKernel(dg.g, plain, {dg.tx, dg.tw}, ""),
+                             runKernel(dg.g, plain, {dg.tx, dg.tw}, tier)),
+                  1e-5f)
+            << "DwConv2d";
         for (int64_t act : kActs) {
-            Graph g;
-            int x = g.input({n, ch, hw, hw}, "x");
-            int w = g.param({ch, 1, k, k}, "w", true);
-            int b = g.param({ch, 1, 1}, "b", true);
-            Attrs a;
-            a.set("stride", stride);
-            a.set("pad", pad);
-            a.set("act", act);
-            int node = g.add(OpKind::DwConvBiasAct, {x, w, b}, std::move(a));
-            Tensor tx = Tensor::randn(g.node(x).shape, rng);
-            Tensor tw = Tensor::randn(g.node(w).shape, rng, 0.3f);
-            Tensor tb = Tensor::randn(g.node(b).shape, rng);
-            EXPECT_LT(maxRelDiff(runKernel(g, node, {tx, tw, tb}, ""),
-                                 runKernel(g, node, {tx, tw, tb}, "avx2")),
+            int node = dg.fused(cs, act);
+            std::vector<Tensor> in = {dg.tx, dg.tw, dg.tb};
+            EXPECT_LT(maxRelDiff(runKernel(dg.g, node, in, ""),
+                                 runKernel(dg.g, node, in, tier)),
                       1e-5f)
                 << "act " << act;
         }
@@ -816,7 +942,7 @@ void
 checkQGemmBitExact(int64_t m, int64_t k, int64_t n, bool with_bias,
                    int64_t act, Rng &rng)
 {
-    std::string sfx = hostSuffix();
+    std::string tier = hostTier();
     Tensor a = Tensor::uniform({m, k}, rng, -1.0f, 1.0f);
     Tensor w = Tensor::uniform({k, n}, rng, -0.8f, 0.8f);
     Tensor bias = Tensor::uniform({n}, rng, -0.5f, 0.5f);
@@ -866,8 +992,8 @@ checkQGemmBitExact(int64_t m, int64_t k, int64_t n, bool with_bias,
         lookupKernel(OpKind::QuantMatMul, variant)(c);
     };
     I8Buf scalar(m * n), simd(m * n);
-    run("int8", scalar);
-    run("int8" + sfx, simd);
+    run("", scalar);
+    run(tier, simd);
     EXPECT_EQ(maxCodeDiff(scalar, simd, m * n), 0)
         << m << "x" << k << "x" << n << " bias=" << with_bias
         << " act=" << act;
@@ -896,7 +1022,7 @@ TEST(SimdParity, Int8GemmBitExact)
 TEST(SimdParity, Int8ConvAndDepthwiseBitExact)
 {
     SKIP_WITHOUT_SIMD();
-    std::string sfx = hostSuffix();
+    std::string tier = hostTier();
     Rng rng(104);
     struct S {
         int64_t ch, hw, k, stride, pad;
@@ -959,65 +1085,12 @@ TEST(SimdParity, Int8ConvAndDepthwiseBitExact)
                 lookupKernel(op, variant)(c);
             };
             I8Buf scalar(out_n), simd(out_n);
-            run("int8", scalar);
-            run("int8" + sfx, simd);
+            run("", scalar);
+            run(tier, simd);
             EXPECT_EQ(maxCodeDiff(scalar, simd, out_n), 0)
                 << (dw ? "depthwise" : "conv");
         }
     }
-}
-
-TEST(SimdParity, Int8DepthwiseMatchesReferenceWithinOneCode)
-{
-    // The native int8 depthwise kernel vs the dequant->fp32->requant
-    // reference it replaced: same math, different rounding path.
-    Rng rng(105);
-    int64_t N = 2, Ch = 6, HW = 10, K = 3;
-    Tensor x = Tensor::uniform({N, Ch, HW, HW}, rng, -1.0f, 1.0f);
-    Tensor w = Tensor::uniform({Ch, 1, K, K}, rng, -0.6f, 0.6f);
-    Tensor bias = Tensor::uniform({Ch, 1, 1}, rng, -0.3f, 0.3f);
-    QuantParams xp = chooseQuantParams(-1.0f, 1.0f);
-    QuantParams yp = chooseQuantParams(-3.0f, 3.0f);
-    I8Buf qx(x.size()), qw(w.size());
-    quantizeInto(x, xp.scale, xp.zeroPoint, qx);
-    std::vector<float> wscales = quantizeWeight(w, 0, qw);
-
-    Graph g;
-    int ix = g.input({N, Ch, HW, HW}, "x");
-    int iw = g.input({Ch, 1, K, K}, "w");
-    int ib = g.input({Ch, 1, 1}, "b");
-    int is = g.input({Ch}, "s");
-    Attrs at;
-    at.set("stride", static_cast<int64_t>(1));
-    at.set("pad", static_cast<int64_t>(1));
-    at.set("act", static_cast<int64_t>(kActRelu));
-    at.set("hasBias", static_cast<int64_t>(1));
-    at.set("perChannel", static_cast<int64_t>(1));
-    at.set("xScale", static_cast<double>(xp.scale));
-    at.set("xZp", static_cast<int64_t>(xp.zeroPoint));
-    at.set("yScale", static_cast<double>(yp.scale));
-    at.set("yZp", static_cast<int64_t>(yp.zeroPoint));
-    int node =
-        g.add(OpKind::QuantDwConv2d, {ix, iw, ib, is}, std::move(at));
-    const Node &nd = g.node(node);
-    int64_t out_n = numel(nd.shape);
-
-    auto run = [&](const std::string &variant, I8Buf &dst) {
-        KernelCtx c;
-        c.node = &nd;
-        c.in = {qx.asF32(), qw.asF32(), bias.data(), wscales.data()};
-        c.inShapes = {&g.node(ix).shape, &g.node(iw).shape,
-                      &g.node(ib).shape, &g.node(is).shape};
-        c.out = dst.asF32Mut();
-        c.outShape = &nd.shape;
-        DirectWorkspace ws;
-        ws.attach(c, g, nd, variant);
-        lookupKernel(OpKind::QuantDwConv2d, variant)(c);
-    };
-    I8Buf native(out_n), reference(out_n);
-    run("int8", native);
-    run("", reference);
-    EXPECT_LE(maxCodeDiff(native, reference, out_n), 1);
 }
 
 // ---- 3. compile integration ------------------------------------------
@@ -1160,6 +1233,64 @@ TEST(TierCompile, MlpLinearLayersRunTheGemm)
                   store->get("head.bias").data(), kActNone, 64, 256, 10,
                   false, false);
     EXPECT_TRUE(sameBits(got, want));
+}
+
+/** Loss of the first two SGD steps of a full-BP MCUNet-proxy compiled
+ *  with fusion off, so every conv stays a bare Conv2d/DwConv2d. */
+std::vector<float>
+unfusedConvNetLosses(bool forceScalar, std::vector<std::string> *convTiers)
+{
+    Rng rng(3);
+    auto store = std::make_shared<ParamStore>();
+    VisionConfig vc;
+    vc.batch = 4;
+    vc.resolution = 16;
+    ModelSpec m = buildMcuNet(vc, rng, store.get());
+    CompileOptions opt;
+    opt.fuse = false;
+    opt.forceScalarTier = forceScalar;
+    opt.optim = OptimConfig::sgd(0.05);
+    TrainingProgram prog = compileTraining(
+        m.graph, m.loss, SparseUpdateScheme::full(), opt, store);
+    if (convTiers) {
+        const Executor &ex = prog.executor();
+        int si = 0;
+        for (int id : ex.order()) {
+            OpKind op = ex.graph().node(id).op;
+            if (isSourceOp(op))
+                continue;
+            const std::string &tier = ex.stepTiers()[si++];
+            if (op == OpKind::Conv2d || op == OpKind::DwConv2d)
+                convTiers->push_back(std::string(opName(op)) + "/" + tier);
+        }
+    }
+    SyntheticVision task = SyntheticVision::pretrain(3, 16);
+    Rng r(5);
+    std::vector<float> losses;
+    for (int s = 0; s < 2; ++s) {
+        Batch b = task.sample(4, r);
+        losses.push_back(prog.trainStep({{"x", b.x}, {"y", b.y}}));
+    }
+    return losses;
+}
+
+TEST(TierCompile, UnfusedConvNetBindsNoScalarConv)
+{
+    // With fusion off every conv stays a bare Conv2d or DwConv2d; each
+    // still binds its op's one kernel at the host tier.
+    if (hostTier().empty() ||
+        !hasKernelVariant(OpKind::DwConv2d, hostTier()))
+        GTEST_SKIP() << "no depthwise fp32 tier on this host";
+    std::vector<std::string> tiers;
+    std::vector<float> simd = unfusedConvNetLosses(false, &tiers);
+    ASSERT_FALSE(tiers.empty());
+    for (const std::string &t : tiers)
+        EXPECT_EQ(t.substr(t.find('/') + 1), hostTier()) << t;
+    std::vector<float> scalar = unfusedConvNetLosses(true, nullptr);
+    ASSERT_EQ(simd.size(), scalar.size());
+    for (size_t i = 0; i < simd.size(); ++i)
+        EXPECT_NEAR(simd[i], scalar[i], 1e-5f * std::fabs(scalar[i]))
+            << "step " << i;
 }
 
 // ---- 4. deployment ---------------------------------------------------
