@@ -1,7 +1,8 @@
 /**
  * @file
- * NCHW convolution kernels: the conv-family GEMM drivers and the
- * depthwise kernels.
+ * NCHW convolution kernels: the conv-family GEMM drivers, and the
+ * depthwise driver's geometry, tiling, registration and scalar lanes
+ * (the traversal itself is in dwconv.h).
  *
  * Conv2d, ConvBiasAct, Conv2dBwdInput and Conv2dBwdWeight all run
  * the one fp32 GEMM with a bias+act epilogue (kutil::Gemm,
@@ -31,6 +32,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "kernels/dwconv.h"
 #include "kernels/kernel.h"
 #include "kernels/kernel_util.h"
 
@@ -57,131 +59,70 @@ convBwdWeightK(const KernelCtx &c)
     kutil::convBwdWeight(c, kutil::gemmScalar);
 }
 
-/**
- * Depthwise forward, DwConv2d and DwConvBiasAct alike: each output
- * pixel sums its in-bounds taps in (kh, kw) order starting from the
- * channel's bias (zero without one), then applies the "act" epilogue.
- */
+using kutil::kDwLanes;
+
+/** The scalar depthwise lanes: one plain loop per lane, the product
+ *  and the sum each rounded, as in the scalar loops they replaced. */
+template <class E>
+struct ScalarLanes {
+    using T = E;
+    struct V {
+        E v[kDwLanes];
+    };
+
+    static V
+    load(const E *p)
+    {
+        V r;
+        for (int64_t l = 0; l < kDwLanes; ++l)
+            r.v[l] = p[l];
+        return r;
+    }
+
+    static void
+    store(E *p, const V &a)
+    {
+        for (int64_t l = 0; l < kDwLanes; ++l)
+            p[l] = a.v[l];
+    }
+
+    static V
+    fma(V acc, const V &a, const V &b)
+    {
+        for (int64_t l = 0; l < kDwLanes; ++l)
+            acc.v[l] += a.v[l] * b.v[l];
+        return acc;
+    }
+
+    static V
+    madd(const V &acc, const V &a, const V &b)
+    {
+        return fma(acc, a, b);
+    }
+
+    static void
+    transpose(const E *s, int64_t ss, E *d, int64_t ds)
+    {
+        for (int64_t i = 0; i < kDwLanes; ++i)
+            for (int64_t j = 0; j < kDwLanes; ++j)
+                d[j * ds + i] = s[i * ss + j];
+    }
+};
+
+struct ScalarI32Lanes : ScalarLanes<int32_t> {
+    static void
+    emit(const int32_t *acc, int64_t n, int64_t chan, const kutil::Requant &rq,
+         int8_t *out)
+    {
+        for (int64_t p = 0; p < n; ++p)
+            out[p] = rq.emit(acc[p], chan);
+    }
+};
+
 void
 dwConvK(const KernelCtx &c)
 {
-    const Shape &xs = *c.inShapes[0];
-    const Shape &ws = *c.inShapes[1];
-    int64_t stride = c.node->attrs.getInt("stride", 1);
-    int64_t pad = c.node->attrs.getInt("pad", 0);
-    int64_t act = c.node->attrs.getInt("act", kActNone);
-    const float *bias =
-        c.node->op == OpKind::DwConvBiasAct ? c.in[2] : nullptr;
-    int64_t ch = xs[1], h = xs[2], w = xs[3];
-    int64_t kh = ws[2], kw = ws[3];
-    int64_t ho = (*c.outShape)[2], wo = (*c.outShape)[3];
-    int64_t hi = partitionEnd(c, xs[0] * ch);
-    for (int64_t idx = c.begin; idx < hi; ++idx) {
-        int64_t ni = idx / ch, ci = idx % ch;
-        const float *xp = c.in[0] + (ni * ch + ci) * h * w;
-        const float *wp = c.in[1] + ci * kh * kw;
-        float *op = c.out + (ni * ch + ci) * ho * wo;
-        for (int64_t i = 0; i < ho; ++i) {
-            for (int64_t j = 0; j < wo; ++j) {
-                float acc = bias ? bias[ci] : 0.0f;
-                for (int64_t a = 0; a < kh; ++a) {
-                    int64_t ih = i * stride - pad + a;
-                    if (ih < 0 || ih >= h)
-                        continue;
-                    for (int64_t b = 0; b < kw; ++b) {
-                        int64_t iw = j * stride - pad + b;
-                        if (iw < 0 || iw >= w)
-                            continue;
-                        acc += xp[ih * w + iw] * wp[a * kw + b];
-                    }
-                }
-                op[i * wo + j] = kutil::actOf(act, acc);
-            }
-        }
-    }
-}
-
-void
-dwConv2dBwdInput(const KernelCtx &c)
-{
-    const Shape &ws = *c.inShapes[0];
-    const Shape &dys = *c.inShapes[1];
-    const Shape &xs = *c.outShape;
-    int64_t stride = c.node->attrs.getInt("stride", 1);
-    int64_t pad = c.node->attrs.getInt("pad", 0);
-    int64_t ch = xs[1], h = xs[2], w = xs[3];
-    int64_t kh = ws[2], kw = ws[3];
-    int64_t ho = dys[2], wo = dys[3];
-    int64_t lo = c.begin, hi = partitionEnd(c, xs[0] * ch);
-    std::memset(c.out + lo * h * w, 0, sizeof(float) * (hi - lo) * h * w);
-    for (int64_t idx = lo; idx < hi; ++idx) {
-        int64_t ni = idx / ch, ci = idx % ch;
-        const float *wp = c.in[0] + ci * kh * kw;
-        const float *gp = c.in[1] + (ni * ch + ci) * ho * wo;
-        float *dp = c.out + (ni * ch + ci) * h * w;
-        for (int64_t i = 0; i < ho; ++i) {
-            for (int64_t j = 0; j < wo; ++j) {
-                float g = gp[i * wo + j];
-                if (g == 0.0f)
-                    continue;
-                for (int64_t a = 0; a < kh; ++a) {
-                    int64_t ih = i * stride - pad + a;
-                    if (ih < 0 || ih >= h)
-                        continue;
-                    for (int64_t b = 0; b < kw; ++b) {
-                        int64_t iw = j * stride - pad + b;
-                        if (iw < 0 || iw >= w)
-                            continue;
-                        dp[ih * w + iw] += g * wp[a * kw + b];
-                    }
-                }
-            }
-        }
-    }
-}
-
-void
-dwConv2dBwdWeight(const KernelCtx &c)
-{
-    const Shape &xs = *c.inShapes[0];
-    const Shape &dys = *c.inShapes[1];
-    int64_t stride = c.node->attrs.getInt("stride", 1);
-    int64_t pad = c.node->attrs.getInt("pad", 0);
-    int64_t n = xs[0], ch = xs[1], h = xs[2], w = xs[3];
-    const Shape &os = *c.outShape;
-    int64_t kh = os[2], kw = os[3];
-    int64_t ho = dys[2], wo = dys[3];
-    int64_t limit = os[0];
-    int64_t lo = c.begin, hi = partitionEnd(c, limit);
-    std::memset(c.out + lo * kh * kw, 0,
-                sizeof(float) * (hi - lo) * kh * kw);
-    // ci outermost so shards own disjoint dw slices; ascending-ni
-    // accumulation per element is preserved.
-    for (int64_t ci = lo; ci < hi; ++ci) {
-        float *dw = c.out + ci * kh * kw;
-        for (int64_t ni = 0; ni < n; ++ni) {
-            const float *xp = c.in[0] + (ni * ch + ci) * h * w;
-            const float *gp = c.in[1] + (ni * ch + ci) * ho * wo;
-            for (int64_t i = 0; i < ho; ++i) {
-                for (int64_t j = 0; j < wo; ++j) {
-                    float g = gp[i * wo + j];
-                    if (g == 0.0f)
-                        continue;
-                    for (int64_t a = 0; a < kh; ++a) {
-                        int64_t ih = i * stride - pad + a;
-                        if (ih < 0 || ih >= h)
-                            continue;
-                        for (int64_t b = 0; b < kw; ++b) {
-                            int64_t iw = j * stride - pad + b;
-                            if (iw < 0 || iw >= w)
-                                continue;
-                            dw[a * kw + b] += g * xp[ih * w + iw];
-                        }
-                    }
-                }
-            }
-        }
-    }
+    kutil::dwConv<ScalarLanes<float>, ScalarI32Lanes>(c);
 }
 
 } // namespace
@@ -431,6 +372,235 @@ convGemmWorkspace(const Graph &g, const Node &n)
     return spec;
 }
 
+// ---- the depthwise driver's geometry (dwconv.h) -------------------------
+
+namespace {
+
+/** Extent of the source window that @p t consecutive computed
+ *  coordinates read along one axis, wherever they start. */
+int64_t
+dwWindow(const DwGeom &g, int64_t t, int64_t k, int64_t src)
+{
+    if (g.op == OpKind::DwConv2dBwdInput)
+        return std::min(src, (t + k - 2) / g.stride + 1);
+    return std::min(src, (t - 1) * g.stride + k);
+}
+
+/** Scratch of a rows x cols tile for @p group images, region by
+ *  region in the order the driver takes them (each rounded to 64
+ *  bytes). */
+int64_t
+dwScratchBytes(const DwGeom &g, int64_t rows, int64_t cols, int64_t group)
+{
+    auto region = [](int64_t b) { return (b + 63) / 64 * 64; };
+    const int64_t pix = kDwLanes * 4, span = sizeof(DwSpan);
+    bool bwdInput = g.op == OpKind::DwConv2dBwdInput;
+    int64_t win = dwWindow(g, rows, g.kh, bwdInput ? g.ho : g.h) *
+                  dwWindow(g, cols, g.kw, bwdInput ? g.wo : g.w) * pix;
+    int64_t bytes = region(g.tapRows() * g.tapCols() * pix) +
+                    region(rows * span) + region(cols * span) +
+                    region(group * win);
+    // The weight backward also holds its dy tile.
+    if (g.op == OpKind::DwConv2dBwdWeight)
+        bytes += region(rows * cols * pix);
+    return bytes;
+}
+
+/** Largest t in [1, hi] with fits(t), or 0. */
+template <class Fits>
+int64_t
+largestFitting(int64_t hi, Fits fits)
+{
+    int64_t lo = 0;
+    while (lo < hi) {
+        int64_t mid = (lo + hi + 1) / 2;
+        if (fits(mid))
+            lo = mid;
+        else
+            hi = mid - 1;
+    }
+    return lo;
+}
+
+/** First tap [a0, a1) bound of the taps any output reaches. */
+void
+dwTapRange(int64_t k, int64_t in, int64_t out, int64_t s, int64_t pad,
+           int64_t &t0, int64_t &t1)
+{
+    t0 = std::clamp<int64_t>(pad - (out - 1) * s, 0, k);
+    t1 = std::clamp<int64_t>(in + pad, t0, k);
+}
+
+/** Source window [lo, hi) of computed coordinates [o0, o1). */
+void
+dwAxisWindow(const DwGeom &g, int64_t o0, int64_t o1, int64_t k,
+             int64_t src, int64_t &lo, int64_t &hi)
+{
+    const int64_t s = g.stride, p = g.pad;
+    if (g.op == OpKind::DwConv2dBwdInput) {
+        // dy index i reaches dx index q through tap q + p - i*s.
+        int64_t first = o0 + p - k + 1;
+        lo = std::clamp<int64_t>(first <= 0 ? 0 : (first + s - 1) / s, 0,
+                                 src);
+        hi = std::clamp<int64_t>((o1 - 1 + p) / s + 1, lo, src);
+    } else {
+        lo = std::clamp<int64_t>(o0 * s - p, 0, src);
+        hi = std::clamp<int64_t>((o1 - 1) * s - p + k, lo, src);
+    }
+}
+
+/**
+ * Spans of computed coordinates [o0, o1) along one axis of extent
+ * @p in (x) and @p out (y), source window from @p w0, taps from @p t0.
+ */
+void
+dwAxisSpans(const DwGeom &g, int64_t o0, int64_t o1, int64_t k,
+            int64_t in, int64_t out, int64_t w0, int64_t t0, DwSpan *sp)
+{
+    const int64_t s = g.stride, p = g.pad;
+    for (int64_t o = o0; o < o1; ++o) {
+        int64_t src, n, tap;
+        if (g.op == OpKind::DwConv2dBwdInput) {
+            // dx index o gathers dy i in [lo, hi), first tap o+p-lo*s.
+            int64_t first = o + p - k + 1;
+            int64_t lo = first <= 0 ? 0 : (first + s - 1) / s;
+            int64_t hi = std::min(out, (o + p) / s + 1);
+            n = hi - lo;
+            src = lo;
+            tap = o + p - lo * s;
+        } else {
+            int64_t lo = std::max<int64_t>(0, p - o * s);
+            int64_t hi = std::min(k, in + p - o * s);
+            n = hi - lo;
+            src = o * s - p + lo;
+            tap = lo;
+        }
+        sp[o - o0] = n > 0 ? DwSpan{src - w0, n, tap - t0}
+                           : DwSpan{0, 0, 0};
+    }
+}
+
+int64_t
+dwBlockImages(const KernelCtx &c)
+{
+    const Shape &y = *c.outShape; // y or dx: [n, ch, ., .]
+    return y[0] * ((y[1] + kDwLanes - 1) / kDwLanes);
+}
+
+int64_t
+dwBlocks(const KernelCtx &c)
+{
+    return ((*c.outShape)[0] + kDwLanes - 1) / kDwLanes; // dW rows
+}
+
+} // namespace
+
+DwGeom
+dwGeomOf(const KernelCtx &c)
+{
+    DwGeom g{};
+    g.op = c.node->op;
+    g.stride = c.node->attrs.getInt("stride", 1);
+    g.pad = c.node->attrs.getInt("pad", 0);
+    const Shape *x, *y;
+    switch (g.op) {
+      case OpKind::DwConv2dBwdInput: // w, dy -> dx
+        x = c.outShape;
+        y = c.inShapes[1];
+        g.kh = (*c.inShapes[0])[2];
+        g.kw = (*c.inShapes[0])[3];
+        break;
+      case OpKind::DwConv2dBwdWeight: // x, dy -> dW
+        x = c.inShapes[0];
+        y = c.inShapes[1];
+        g.kh = (*c.outShape)[2];
+        g.kw = (*c.outShape)[3];
+        break;
+      default: // x, w (, ...) -> y
+        x = c.inShapes[0];
+        y = c.outShape;
+        g.kh = (*c.inShapes[1])[2];
+        g.kw = (*c.inShapes[1])[3];
+        break;
+    }
+    g.n = (*x)[0];
+    g.ch = (*x)[1];
+    g.h = (*x)[2];
+    g.w = (*x)[3];
+    g.ho = (*y)[2];
+    g.wo = (*y)[3];
+    g.channels =
+        g.op == OpKind::DwConv2dBwdWeight ? (*c.outShape)[0] : g.ch;
+    dwTapRange(g.kh, g.h, g.ho, g.stride, g.pad, g.a0, g.a1);
+    dwTapRange(g.kw, g.w, g.wo, g.stride, g.pad, g.b0, g.b1);
+    bool bwdInput = g.op == OpKind::DwConv2dBwdInput;
+    g.rows = bwdInput ? g.h : g.ho;
+    g.cols = bwdInput ? g.w : g.wo;
+
+    // Up to kDwLanes images of the whole plane if they fit the stack
+    // tile (forward and input backward), else one image in bands of
+    // full rows, else in single-row bands of columns. A weight-backward
+    // tile then still visits dy in (i, j) order.
+    auto fits = [&](int64_t rows, int64_t cols, int64_t group) {
+        return dwScratchBytes(g, rows, cols, group) <= kDwTileBytes;
+    };
+    g.bandRows = g.rows;
+    g.bandCols = g.cols;
+    g.group = 1;
+    if (g.op != OpKind::DwConv2dBwdWeight)
+        g.group = std::max<int64_t>(
+            1, largestFitting(std::min(g.n, kDwLanes), [&](int64_t k) {
+                return fits(g.rows, g.cols, k);
+            }));
+    if (!fits(g.rows, g.cols, g.group)) {
+        g.bandRows = largestFitting(
+            g.rows, [&](int64_t r) { return fits(r, g.cols, 1); });
+        if (g.bandRows == 0) {
+            g.bandRows = 1;
+            g.bandCols = std::max<int64_t>(
+                1, largestFitting(g.cols, [&](int64_t q) {
+                    return fits(1, q, 1);
+                }));
+        }
+    }
+    g.winPix = dwWindow(g, g.bandRows, g.kh, bwdInput ? g.ho : g.h) *
+               dwWindow(g, g.bandCols, g.kw, bwdInput ? g.wo : g.w);
+    g.tileBytes = dwScratchBytes(g, g.bandRows, g.bandCols, g.group);
+    return g;
+}
+
+DwTile
+dwTileAt(const DwGeom &g, int64_t r0, int64_t c0)
+{
+    DwTile t;
+    t.r0 = r0;
+    t.c0 = c0;
+    t.r1 = std::min(g.rows, r0 + g.bandRows);
+    t.c1 = std::min(g.cols, c0 + g.bandCols);
+    bool bwdInput = g.op == OpKind::DwConv2dBwdInput;
+    dwAxisWindow(g, t.r0, t.r1, g.kh, bwdInput ? g.ho : g.h, t.sr0, t.sr1);
+    dwAxisWindow(g, t.c0, t.c1, g.kw, bwdInput ? g.wo : g.w, t.sc0, t.sc1);
+    return t;
+}
+
+void
+dwSpans(const DwGeom &g, const DwTile &t, DwSpan *rows, DwSpan *cols)
+{
+    dwAxisSpans(g, t.r0, t.r1, g.kh, g.h, g.ho, t.sr0, g.a0, rows);
+    dwAxisSpans(g, t.c0, t.c1, g.kw, g.w, g.wo, t.sc0, g.b0, cols);
+}
+
+void
+registerDwConvKernels(const std::string &tier, KernelFn fn)
+{
+    PartitionSpec pairs{dwBlockImages, 1};
+    for (OpKind op : {OpKind::DwConv2d, OpKind::DwConvBiasAct,
+                      OpKind::DwConv2dBwdInput, OpKind::QuantDwConv2d})
+        registerKernel(op, tier, fn, pairs);
+    registerKernel(OpKind::DwConv2dBwdWeight, tier, fn,
+                   PartitionSpec{dwBlocks, 1});
+}
+
 } // namespace kutil
 
 namespace detail {
@@ -438,7 +608,6 @@ namespace detail {
 void
 registerConvKernels()
 {
-    PartitionSpec images{part::outDim01, 1};
     PartitionSpec tiles{kutil::convTiles, 1};
     PartitionSpec dxImages{part::outDim0, 1};
     PartitionSpec dwChannels{part::outDim0, 1};
@@ -448,12 +617,7 @@ registerConvKernels()
                    kutil::convGemmWorkspace);
     registerKernel(OpKind::Conv2dBwdWeight, "", convBwdWeightK,
                    dwChannels, kutil::convGemmWorkspace);
-    for (OpKind op : {OpKind::DwConv2d, OpKind::DwConvBiasAct})
-        registerKernel(op, "", dwConvK, images);
-    registerKernel(OpKind::DwConv2dBwdInput, "", dwConv2dBwdInput,
-                   images);
-    registerKernel(OpKind::DwConv2dBwdWeight, "", dwConv2dBwdWeight,
-                   dwChannels);
+    kutil::registerDwConvKernels("", dwConvK);
 }
 
 } // namespace detail

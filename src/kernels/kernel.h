@@ -285,8 +285,6 @@ int64_t outElems(const KernelCtx &c);
 int64_t outRows(const KernelCtx &c);
 /** First output dim (batch / output channels / samples). */
 int64_t outDim0(const KernelCtx &c);
-/** First two output dims flattened (e.g. N*C of an NCHW output). */
-int64_t outDim01(const KernelCtx &c);
 /** Elements of input 1 (optimizer kernels: the gradient). */
 int64_t in1Elems(const KernelCtx &c);
 } // namespace part

@@ -7,8 +7,9 @@
  * weight panel into a per-shard workspace (contiguous K-major rows);
  * conv uses a per-image i8 im2col column buffer whose padding cells
  * hold the input zero-point, so (col - zp) vanishes exactly where fp32
- * would pad zeros; depthwise conv is a direct loop. All accumulate in
- * int32 and requantize per output channel. The SIMD tier
+ * would pad zeros. QuantDwConv2d runs the one depthwise driver
+ * (dwconv.h, registered from conv2d.cc). All accumulate in int32 and
+ * requantize per output channel. The SIMD tier
  * (simd_avx2.cc / simd_neon.cc) registers bare "avx2"/"neon" variants
  * that are bit-exact to these (integer accumulation has no
  * reassociation hazard; requantization rounds identically).
@@ -243,57 +244,6 @@ qconvK(const KernelCtx &c)
  *  tier). */
 constexpr auto qconvWorkspace = kutil::qconvColWorkspace;
 
-// ---- int8 depthwise conv ---------------------------------------------
-
-/**
- * Native int8 depthwise conv: direct (no workspace), int32
- * accumulation over the (kh, kw) window with out-of-bounds taps
- * skipped — (x - zp) * w summed in ascending tap order, one rounding
- * at requantization.
- */
-void
-qdwConv2dK(const KernelCtx &c)
-{
-    const Shape &xs = *c.inShapes[0];
-    const Shape &ws = *c.inShapes[1];
-    int64_t stride = c.node->attrs.getInt("stride", 1);
-    int64_t pad = c.node->attrs.getInt("pad", 0);
-    int64_t ch = xs[1], h = xs[2], w = xs[3];
-    int64_t kh = ws[2], kw = ws[3];
-    int64_t ho = (*c.outShape)[2], wo = (*c.outShape)[3];
-    const int8_t *x = reinterpret_cast<const int8_t *>(c.in[0]);
-    const int8_t *wt = reinterpret_cast<const int8_t *>(c.in[1]);
-    int8_t *out = reinterpret_cast<int8_t *>(c.out);
-    Requant rq = requantOf(c);
-
-    int64_t hi = partitionEnd(c, xs[0] * ch);
-    for (int64_t idx = c.begin; idx < hi; ++idx) {
-        int64_t ni = idx / ch, ci = idx % ch;
-        const int8_t *xp = x + (ni * ch + ci) * h * w;
-        const int8_t *wp = wt + ci * kh * kw;
-        int8_t *op = out + (ni * ch + ci) * ho * wo;
-        for (int64_t i = 0; i < ho; ++i) {
-            for (int64_t j = 0; j < wo; ++j) {
-                int32_t acc = 0;
-                for (int64_t a = 0; a < kh; ++a) {
-                    int64_t ih = i * stride - pad + a;
-                    if (ih < 0 || ih >= h)
-                        continue;
-                    for (int64_t b = 0; b < kw; ++b) {
-                        int64_t iw = j * stride - pad + b;
-                        if (iw < 0 || iw >= w)
-                            continue;
-                        acc += (static_cast<int32_t>(xp[ih * w + iw]) -
-                                rq.xZp) *
-                               static_cast<int32_t>(wp[a * kw + b]);
-                    }
-                }
-                op[i * wo + j] = rq.emit(acc, ci);
-            }
-        }
-    }
-}
-
 int64_t
 qmatmulRows(const KernelCtx &c)
 {
@@ -310,7 +260,6 @@ registerQuantizedKernels()
     PartitionSpec elems{part::outElems, 1024};
     PartitionSpec rows{qmatmulRows, 8};
     PartitionSpec images{part::outDim0, 1};
-    PartitionSpec imageChannels{part::outDim01, 1};
 
     registerKernel(OpKind::Quantize, "", quantizeK, elems);
     registerKernel(OpKind::Dequantize, "", dequantizeK, elems);
@@ -322,7 +271,6 @@ registerQuantizedKernels()
                    qmatmulWorkspace);
     registerKernel(OpKind::QuantConv2d, "", qconvK, images,
                    qconvWorkspace);
-    registerKernel(OpKind::QuantDwConv2d, "", qdwConv2dK, imageChannels);
 }
 
 } // namespace detail

@@ -8,6 +8,12 @@
  * ascending order either way), so results are bit-identical, and
  * slots are independent, which lets the kernel partition over the
  * flattened output.
+ *
+ * The reduced dims after the last kept dim are the innermost ones, so
+ * they form one contiguous run (the H*W plane of a bias gradient over
+ * NCHW axes {0, 2, 3}). The walk adds that run directly and steps the
+ * odometer only over the reduced dims before it: the same elements in
+ * the same order.
  */
 
 #include <cstring>
@@ -31,9 +37,16 @@ reduce(const KernelCtx &c, bool mean)
     auto xstrides = rowMajorStrides(xs);
 
     // Split dims into kept (they index the output, row-major) and
-    // reduced (the per-slot accumulation walk), preserving dim order.
+    // reduced (the per-slot accumulation walk), preserving dim order;
+    // the innermost reduced dims fold into one contiguous run.
     std::vector<int64_t> kext, kstr, rext, rstr;
-    for (size_t d = 0; d < xs.size(); ++d) {
+    size_t inner = xs.size();
+    while (inner > 0 && reduced[inner - 1])
+        --inner;
+    int64_t run = 1;
+    for (size_t d = inner; d < xs.size(); ++d)
+        run *= xs[d];
+    for (size_t d = 0; d < inner; ++d) {
         if (reduced[d]) {
             rext.push_back(xs[d]);
             rstr.push_back(xstrides[d]);
@@ -60,7 +73,9 @@ reduce(const KernelCtx &c, bool mean)
         std::fill(coord.begin(), coord.end(), 0);
         int64_t off = 0;
         for (;;) {
-            acc += c.in[0][base + off];
+            const float *p = c.in[0] + base + off;
+            for (int64_t t = 0; t < run; ++t)
+                acc += p[t];
             // Odometer over the reduced dims, innermost fastest.
             size_t d = rext.size();
             while (d-- > 0) {

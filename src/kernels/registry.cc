@@ -48,12 +48,6 @@ outDim0(const KernelCtx &c)
 }
 
 int64_t
-outDim01(const KernelCtx &c)
-{
-    return (*c.outShape)[0] * (*c.outShape)[1];
-}
-
-int64_t
 in1Elems(const KernelCtx &c)
 {
     return numel(*c.inShapes[1]);

@@ -2,9 +2,10 @@
  * @file
  * AVX2/FMA kernel tier: the fp32 GEMM microkernel with its bias+act
  * epilogue (MatMul, BatchMatMul, MatMulBiasAct, Conv2d, ConvBiasAct,
- * and both conv backward ops), the fp32 depthwise forward (DwConv2d,
- * DwConvBiasAct), fused attention, the int8 GEMM with vectorized
- * requantization, and the int8 conv and depthwise conv. Registered as
+ * and both conv backward ops), the depthwise lanes (DwConv2d,
+ * DwConvBiasAct, both depthwise backward ops, QuantDwConv2d), fused
+ * attention, the int8 GEMM with vectorized requantization, and the
+ * int8 conv. Registered as
  * the "avx2" variant of each op's scalar kernel, with IDENTICAL
  * partition domains and workspace declarations (kernel_util.h), so the
  * executor can switch tiers at bind time against one memory plan.
@@ -41,6 +42,7 @@
 #include <immintrin.h>
 #include <limits>
 
+#include "kernels/dwconv.h"
 #include "kernels/kernel_util.h"
 
 namespace pe {
@@ -220,90 +222,6 @@ void
 convBwdWeightAvx2K(const KernelCtx &c)
 {
     kutil::convBwdWeight(c, gemmAvx2);
-}
-
-// ---- fp32 depthwise conv (+ bias + act) -------------------------------
-
-/**
- * Same (image, channel) partition as the scalar depthwise kernel. Each
- * output row runs in 8-pixel vectors: a tap's lanes that fall on
- * padding load exact zeros (masked loads at stride 1, masked gathers
- * otherwise), so every pixel sums its in-bounds taps in the scalar
- * (kh, kw) order from the bias (zero for DwConv2d), with FMA rounding.
- * The row tail is a masked store; the epilogue matches the conv
- * GEMM's.
- */
-void
-dwConvAvx2K(const KernelCtx &c)
-{
-    const Shape &xs = *c.inShapes[0];
-    const Shape &ws = *c.inShapes[1];
-    int64_t stride = c.node->attrs.getInt("stride", 1);
-    int64_t pad = c.node->attrs.getInt("pad", 0);
-    int64_t act = c.node->attrs.getInt("act", kActNone);
-    const float *biasp =
-        c.node->op == OpKind::DwConvBiasAct ? c.in[2] : nullptr;
-    int64_t ch = xs[1], h = xs[2], w = xs[3];
-    int64_t kh = ws[2], kw = ws[3];
-    int64_t ho = (*c.outShape)[2], wo = (*c.outShape)[3];
-    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-    const __m256i wv = _mm256_set1_epi32(static_cast<int>(w));
-    const __m256i neg1 = _mm256_set1_epi32(-1);
-    int64_t hi = partitionEnd(c, xs[0] * ch);
-    for (int64_t idx = c.begin; idx < hi; ++idx) {
-        int64_t ni = idx / ch, cc = idx % ch;
-        const float *xp = c.in[0] + (ni * ch + cc) * h * w;
-        const float *wp = c.in[1] + cc * kh * kw;
-        __m256 bias = _mm256_set1_ps(biasp ? biasp[cc] : 0.0f);
-        float *op = c.out + (ni * ch + cc) * ho * wo;
-        for (int64_t j = 0; j < wo; j += 8) {
-            __m256i live = laneMask(std::min<int64_t>(8, wo - j));
-            // Input column of lane l for tap b = base + b, where
-            // base = (j + l) * stride - pad.
-            __m256i base = _mm256_sub_epi32(
-                _mm256_mullo_epi32(
-                    _mm256_add_epi32(
-                        _mm256_set1_epi32(static_cast<int>(j)), lane),
-                    _mm256_set1_epi32(static_cast<int>(stride))),
-                _mm256_set1_epi32(static_cast<int>(pad)));
-            for (int64_t i = 0; i < ho; ++i) {
-                __m256 acc = bias;
-                for (int64_t a = 0; a < kh; ++a) {
-                    int64_t ih = i * stride - pad + a;
-                    if (ih < 0 || ih >= h)
-                        continue;
-                    const float *xrow = xp + ih * w;
-                    for (int64_t b = 0; b < kw; ++b) {
-                        __m256i col = _mm256_add_epi32(
-                            base, _mm256_set1_epi32(static_cast<int>(b)));
-                        __m256i in = _mm256_and_si256(
-                            _mm256_and_si256(
-                                _mm256_cmpgt_epi32(col, neg1),
-                                _mm256_cmpgt_epi32(wv, col)),
-                            live);
-                        __m256 xv =
-                            stride == 1
-                                ? _mm256_maskload_ps(
-                                      xrow + j - pad + b, in)
-                                : _mm256_mask_i32gather_ps(
-                                      _mm256_setzero_ps(), xrow, col,
-                                      _mm256_castsi256_ps(in), 4);
-                        acc = _mm256_fmadd_ps(
-                            _mm256_set1_ps(wp[a * kw + b]), xv, acc);
-                    }
-                }
-                if (act == kActRelu)
-                    acc = _mm256_max_ps(acc, _mm256_setzero_ps());
-                float *orow = op + i * wo + j;
-                _mm256_maskstore_ps(orow, live, acc);
-                if (act != kActNone && act != kActRelu) {
-                    for (int64_t l = 0; l < std::min<int64_t>(8, wo - j);
-                         ++l)
-                        orow[l] = kutil::actOf(act, orow[l]);
-                }
-            }
-        }
-    }
 }
 
 // ---- fused attention --------------------------------------------------
@@ -594,103 +512,110 @@ qconvAvx2K(const KernelCtx &c)
     }
 }
 
-// ---- int8 depthwise conv ----------------------------------------------
+// ---- depthwise lanes ----------------------------------------------------
 
-int8_t
-qdwPixel(const int8_t *xp, const int8_t *wp, int64_t i, int64_t j,
-         int64_t h, int64_t w, int64_t kh, int64_t kw, int64_t stride,
-         int64_t pad, int64_t channel, const Requant &rq)
+/** 8x8 transpose of 32-bit elements: d row j = s column j. */
+void
+transpose8x8(const float *s, int64_t ss, float *d, int64_t ds)
 {
-    int32_t acc = 0;
-    for (int64_t a = 0; a < kh; ++a) {
-        int64_t ih = i * stride - pad + a;
-        if (ih < 0 || ih >= h)
-            continue;
-        for (int64_t b = 0; b < kw; ++b) {
-            int64_t iw = j * stride - pad + b;
-            if (iw < 0 || iw >= w)
-                continue;
-            acc += (static_cast<int32_t>(xp[ih * w + iw]) - rq.xZp) *
-                   static_cast<int32_t>(wp[a * kw + b]);
-        }
+    __m256 r[8], t[8];
+    for (int i = 0; i < 8; ++i)
+        r[i] = _mm256_loadu_ps(s + i * ss);
+    for (int i = 0; i < 8; i += 2) {
+        t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
+        t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
     }
-    return rq.emit(acc, channel);
+    for (int i = 0; i < 8; i += 4) {
+        r[i] = _mm256_shuffle_ps(t[i], t[i + 2], _MM_SHUFFLE(1, 0, 1, 0));
+        r[i + 1] =
+            _mm256_shuffle_ps(t[i], t[i + 2], _MM_SHUFFLE(3, 2, 3, 2));
+        r[i + 2] =
+            _mm256_shuffle_ps(t[i + 1], t[i + 3], _MM_SHUFFLE(1, 0, 1, 0));
+        r[i + 3] =
+            _mm256_shuffle_ps(t[i + 1], t[i + 3], _MM_SHUFFLE(3, 2, 3, 2));
+    }
+    for (int i = 0; i < 4; ++i) {
+        _mm256_storeu_ps(d + i * ds,
+                         _mm256_permute2f128_ps(r[i], r[i + 4], 0x20));
+        _mm256_storeu_ps(d + (i + 4) * ds,
+                         _mm256_permute2f128_ps(r[i], r[i + 4], 0x31));
+    }
 }
 
-/**
- * Stride-1 interiors vectorize 8 output pixels per iteration (the
- * window rows are contiguous loads there); borders and other strides
- * run the scalar pixel. Both paths are the same integer accumulation,
- * so the kernel is bit-exact to the scalar int8 depthwise kernel.
- */
-void
-qdwConvAvx2K(const KernelCtx &c)
-{
-    const Shape &xs = *c.inShapes[0];
-    const Shape &ws = *c.inShapes[1];
-    int64_t stride = c.node->attrs.getInt("stride", 1);
-    int64_t pad = c.node->attrs.getInt("pad", 0);
-    int64_t ch = xs[1], h = xs[2], w = xs[3];
-    int64_t kh = ws[2], kw = ws[3];
-    int64_t ho = (*c.outShape)[2], wo = (*c.outShape)[3];
-    const int8_t *x = reinterpret_cast<const int8_t *>(c.in[0]);
-    const int8_t *wt = reinterpret_cast<const int8_t *>(c.in[1]);
-    int8_t *out = reinterpret_cast<int8_t *>(c.out);
-    Requant rq = requantOf(c);
-    __m256i zp32 = _mm256_set1_epi32(rq.xZp);
-    bool vec_emit = vectorEmitOk(rq);
+/** The depthwise driver's fp32 lanes: one __m256 of 8 channels. */
+struct Avx2F32Lanes {
+    using T = float;
+    using V = __m256;
 
-    int64_t hi = partitionEnd(c, xs[0] * ch);
-    for (int64_t idx = c.begin; idx < hi; ++idx) {
-        int64_t ni = idx / ch, ci = idx % ch;
-        const int8_t *xp = x + (ni * ch + ci) * h * w;
-        const int8_t *wp = wt + ci * kh * kw;
-        int8_t *op = out + (ni * ch + ci) * ho * wo;
-        __m256 sw = _mm256_set1_ps(
-            rq.wScales ? rq.wScales[ci] : rq.wScale);
-        __m256 bias = _mm256_set1_ps(rq.bias ? rq.bias[ci] : 0.0f);
-        for (int64_t i = 0; i < ho; ++i) {
-            int64_t j = 0;
-            if (stride == 1 && vec_emit) {
-                // Columns where every kw tap is in-bounds.
-                int64_t jlo = pad;
-                int64_t jhi = std::min(wo, w - kw + pad + 1);
-                for (; j < std::min(jlo, wo); ++j)
-                    op[i * wo + j] = qdwPixel(xp, wp, i, j, h, w, kh,
-                                              kw, stride, pad, ci, rq);
-                for (; j + 8 <= jhi; j += 8) {
-                    __m256i acc = _mm256_setzero_si256();
-                    for (int64_t a = 0; a < kh; ++a) {
-                        int64_t ih = i - pad + a;
-                        if (ih < 0 || ih >= h)
-                            continue;
-                        const int8_t *xrow = xp + ih * w + j - pad;
-                        for (int64_t b = 0; b < kw; ++b) {
-                            __m256i xv = _mm256_cvtepi8_epi32(
-                                _mm_loadl_epi64(
-                                    reinterpret_cast<const __m128i *>(
-                                        xrow + b)));
-                            acc = _mm256_add_epi32(
-                                acc,
-                                _mm256_mullo_epi32(
-                                    _mm256_sub_epi32(xv, zp32),
-                                    _mm256_set1_epi32(
-                                        static_cast<int32_t>(
-                                            wp[a * kw + b]))));
-                        }
-                    }
-                    alignas(32) int32_t accs[8];
-                    _mm256_store_si256(
-                        reinterpret_cast<__m256i *>(accs), acc);
-                    emit8(accs, sw, bias, rq.bias != nullptr, rq,
-                          op + i * wo + j);
-                }
-            }
-            for (; j < wo; ++j)
-                op[i * wo + j] = qdwPixel(xp, wp, i, j, h, w, kh, kw,
-                                          stride, pad, ci, rq);
-        }
+    static V load(const float *p) { return _mm256_loadu_ps(p); }
+    static void store(float *p, V v) { _mm256_storeu_ps(p, v); }
+    static V fma(V acc, V a, V b) { return _mm256_fmadd_ps(a, b, acc); }
+
+    static V
+    madd(V acc, V a, V b)
+    {
+        return _mm256_add_ps(acc, _mm256_mul_ps(a, b));
     }
+
+    static void
+    transpose(const float *s, int64_t ss, float *d, int64_t ds)
+    {
+        transpose8x8(s, ss, d, ds);
+    }
+};
+
+/** The int8 lanes: (x - zp) * w in 8 int32 lanes. A channel's run of 8
+ *  accumulators requantizes through emit8 (bit-exact to Requant::emit),
+ *  shorter runs and gelu/silu through the scalar emit. */
+struct Avx2I32Lanes {
+    using T = int32_t;
+    using V = __m256i;
+
+    static V
+    load(const int32_t *p)
+    {
+        return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p));
+    }
+
+    static void
+    store(int32_t *p, V v)
+    {
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(p), v);
+    }
+
+    static V
+    fma(V acc, V a, V b)
+    {
+        return _mm256_add_epi32(acc, _mm256_mullo_epi32(a, b));
+    }
+
+    static void
+    transpose(const int32_t *s, int64_t ss, int32_t *d, int64_t ds)
+    {
+        transpose8x8(reinterpret_cast<const float *>(s), ss,
+                     reinterpret_cast<float *>(d), ds);
+    }
+
+    static void
+    emit(const int32_t *acc, int64_t n, int64_t chan, const Requant &rq,
+         int8_t *out)
+    {
+        if (n == 8 && vectorEmitOk(rq)) {
+            emit8(acc,
+                  _mm256_set1_ps(rq.wScales ? rq.wScales[chan] : rq.wScale),
+                  _mm256_set1_ps(rq.bias ? rq.bias[chan] : 0.0f),
+                  rq.bias != nullptr, rq, out);
+            return;
+        }
+        for (int64_t p = 0; p < n; ++p)
+            out[p] = rq.emit(acc[p], chan);
+    }
+};
+
+void
+dwConvAvx2K(const KernelCtx &c)
+{
+    kutil::dwConv<Avx2F32Lanes, Avx2I32Lanes>(c);
 }
 
 } // namespace
@@ -704,7 +629,6 @@ registerSimdAvx2Kernels()
     // bases — the tier-switch contract the executor relies on.
     PartitionSpec rows{part::outDim0, 8};
     PartitionSpec images{part::outDim0, 1};
-    PartitionSpec imageChannels{part::outDim01, 1};
     for (OpKind op : {OpKind::MatMul, OpKind::MatMulBiasAct})
         registerKernel(op, "avx2", matmulAvx2K, rows,
                        kutil::matmulWorkspace);
@@ -720,8 +644,6 @@ registerSimdAvx2Kernels()
     registerKernel(OpKind::Conv2dBwdWeight, "avx2", convBwdWeightAvx2K,
                    PartitionSpec{part::outDim0, 1},
                    kutil::convGemmWorkspace);
-    for (OpKind op : {OpKind::DwConv2d, OpKind::DwConvBiasAct})
-        registerKernel(op, "avx2", dwConvAvx2K, imageChannels);
     registerKernel(OpKind::FusedAttention, "avx2", fusedAttentionAvx2K,
                    PartitionSpec{part::outRows, 1},
                    kutil::fusedAttentionWorkspace);
@@ -729,8 +651,7 @@ registerSimdAvx2Kernels()
                    rows, kutil::qgemmWorkspace);
     registerKernel(OpKind::QuantConv2d, "avx2", qconvAvx2K,
                    images, kutil::qconvColWorkspace);
-    registerKernel(OpKind::QuantDwConv2d, "avx2", qdwConvAvx2K,
-                   imageChannels);
+    kutil::registerDwConvKernels("avx2", dwConvAvx2K);
 }
 
 } // namespace detail

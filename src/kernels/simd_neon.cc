@@ -2,7 +2,8 @@
  * @file
  * NEON kernel tier: the fp32 GEMM with its bias+act epilogue (MatMul,
  * BatchMatMul, MatMulBiasAct, Conv2d, ConvBiasAct, both conv backward
- * ops), fused attention, int8 GEMM, int8 conv and depthwise — as the
+ * ops), the depthwise lanes (every depthwise op, fp32 and int8), fused
+ * attention, int8 GEMM and int8 conv — as the
  * "neon" variant of each op's scalar kernel, with its partition domain
  * and workspace declaration (kernel_util.h).
  *
@@ -26,6 +27,7 @@
 #include <cstring>
 #include <limits>
 
+#include "kernels/dwconv.h"
 #include "kernels/kernel_util.h"
 
 namespace pe {
@@ -403,88 +405,105 @@ qconvNeonK(const KernelCtx &c)
     }
 }
 
-// ---- int8 depthwise conv ----------------------------------------------
+// ---- depthwise lanes ----------------------------------------------------
 
-int8_t
-qdwPixel(const int8_t *xp, const int8_t *wp, int64_t i, int64_t j,
-         int64_t h, int64_t w, int64_t kh, int64_t kw, int64_t stride,
-         int64_t pad, int64_t channel, const Requant &rq)
+/** 8x8 transpose of 32-bit elements: d row j = s column j. */
+template <class E>
+void
+transpose8x8(const E *s, int64_t ss, E *d, int64_t ds)
 {
-    int32_t acc = 0;
-    for (int64_t a = 0; a < kh; ++a) {
-        int64_t ih = i * stride - pad + a;
-        if (ih < 0 || ih >= h)
-            continue;
-        for (int64_t b = 0; b < kw; ++b) {
-            int64_t iw = j * stride - pad + b;
-            if (iw < 0 || iw >= w)
-                continue;
-            acc += (static_cast<int32_t>(xp[ih * w + iw]) - rq.xZp) *
-                   static_cast<int32_t>(wp[a * kw + b]);
-        }
-    }
-    return rq.emit(acc, channel);
+    for (int64_t i = 0; i < 8; ++i)
+        for (int64_t j = 0; j < 8; ++j)
+            d[j * ds + i] = s[i * ss + j];
 }
 
-void
-qdwConvNeonK(const KernelCtx &c)
-{
-    const Shape &xs = *c.inShapes[0];
-    const Shape &ws = *c.inShapes[1];
-    int64_t stride = c.node->attrs.getInt("stride", 1);
-    int64_t pad = c.node->attrs.getInt("pad", 0);
-    int64_t ch = xs[1], h = xs[2], w = xs[3];
-    int64_t kh = ws[2], kw = ws[3];
-    int64_t ho = (*c.outShape)[2], wo = (*c.outShape)[3];
-    const int8_t *x = reinterpret_cast<const int8_t *>(c.in[0]);
-    const int8_t *wt = reinterpret_cast<const int8_t *>(c.in[1]);
-    int8_t *out = reinterpret_cast<int8_t *>(c.out);
-    Requant rq = requantOf(c);
-    int32x4_t zp32 = vdupq_n_s32(rq.xZp);
-    bool vec_emit = vectorEmitOk(rq);
+/** The depthwise driver's fp32 lanes: 2 x float32x4 for 8 channels. */
+struct NeonF32Lanes {
+    using T = float;
+    struct V {
+        float32x4_t lo, hi;
+    };
 
-    int64_t hi = partitionEnd(c, xs[0] * ch);
-    for (int64_t idx = c.begin; idx < hi; ++idx) {
-        int64_t ni = idx / ch, ci = idx % ch;
-        const int8_t *xp = x + (ni * ch + ci) * h * w;
-        const int8_t *wp = wt + ci * kh * kw;
-        int8_t *op = out + (ni * ch + ci) * ho * wo;
-        float32x4_t sw = vdupq_n_f32(
-            rq.wScales ? rq.wScales[ci] : rq.wScale);
-        float32x4_t bias = vdupq_n_f32(rq.bias ? rq.bias[ci] : 0.0f);
-        for (int64_t i = 0; i < ho; ++i) {
-            int64_t j = 0;
-            if (stride == 1 && vec_emit) {
-                int64_t jlo = pad;
-                int64_t jhi = std::min(wo, w - kw + pad + 1);
-                for (; j < std::min(jlo, wo); ++j)
-                    op[i * wo + j] = qdwPixel(xp, wp, i, j, h, w, kh,
-                                              kw, stride, pad, ci, rq);
-                for (; j + 4 <= jhi; j += 4) {
-                    int32x4_t acc = vdupq_n_s32(0);
-                    for (int64_t a = 0; a < kh; ++a) {
-                        int64_t ih = i - pad + a;
-                        if (ih < 0 || ih >= h)
-                            continue;
-                        const int8_t *xrow = xp + ih * w + j - pad;
-                        for (int64_t b = 0; b < kw; ++b) {
-                            int32x4_t xv = loadS8x4(xrow + b);
-                            acc = vmlaq_n_s32(
-                                acc, vsubq_s32(xv, zp32),
-                                static_cast<int32_t>(wp[a * kw + b]));
-                        }
-                    }
-                    int32_t accs[4];
-                    vst1q_s32(accs, acc);
-                    emit4(accs, sw, bias, rq.bias != nullptr, rq,
-                          op + i * wo + j);
-                }
-            }
-            for (; j < wo; ++j)
-                op[i * wo + j] = qdwPixel(xp, wp, i, j, h, w, kh, kw,
-                                          stride, pad, ci, rq);
-        }
+    static V load(const float *p) { return {vld1q_f32(p), vld1q_f32(p + 4)}; }
+
+    static void
+    store(float *p, V v)
+    {
+        vst1q_f32(p, v.lo);
+        vst1q_f32(p + 4, v.hi);
     }
+
+    static V
+    fma(V acc, V a, V b)
+    {
+        return {vmlaq_f32(acc.lo, a.lo, b.lo), vmlaq_f32(acc.hi, a.hi, b.hi)};
+    }
+
+    static V
+    madd(V acc, V a, V b)
+    {
+        return {vaddq_f32(acc.lo, vmulq_f32(a.lo, b.lo)),
+                vaddq_f32(acc.hi, vmulq_f32(a.hi, b.hi))};
+    }
+
+    static void
+    transpose(const float *s, int64_t ss, float *d, int64_t ds)
+    {
+        transpose8x8(s, ss, d, ds);
+    }
+};
+
+/** The int8 lanes: (x - zp) * w in 2 x int32x4. A channel's run of 8
+ *  accumulators requantizes through emit4 on AArch64 (bit-exact to
+ *  Requant::emit), anything else through the scalar emit. */
+struct NeonI32Lanes {
+    using T = int32_t;
+    struct V {
+        int32x4_t lo, hi;
+    };
+
+    static V load(const int32_t *p) { return {vld1q_s32(p), vld1q_s32(p + 4)}; }
+
+    static void
+    store(int32_t *p, V v)
+    {
+        vst1q_s32(p, v.lo);
+        vst1q_s32(p + 4, v.hi);
+    }
+
+    static V
+    fma(V acc, V a, V b)
+    {
+        return {vmlaq_s32(acc.lo, a.lo, b.lo), vmlaq_s32(acc.hi, a.hi, b.hi)};
+    }
+
+    static void
+    transpose(const int32_t *s, int64_t ss, int32_t *d, int64_t ds)
+    {
+        transpose8x8(s, ss, d, ds);
+    }
+
+    static void
+    emit(const int32_t *acc, int64_t n, int64_t chan, const Requant &rq,
+         int8_t *out)
+    {
+        if (n == 8 && vectorEmitOk(rq)) {
+            float32x4_t sw =
+                vdupq_n_f32(rq.wScales ? rq.wScales[chan] : rq.wScale);
+            float32x4_t bias = vdupq_n_f32(rq.bias ? rq.bias[chan] : 0.0f);
+            emit4(acc, sw, bias, rq.bias != nullptr, rq, out);
+            emit4(acc + 4, sw, bias, rq.bias != nullptr, rq, out + 4);
+            return;
+        }
+        for (int64_t p = 0; p < n; ++p)
+            out[p] = rq.emit(acc[p], chan);
+    }
+};
+
+void
+dwConvNeonK(const KernelCtx &c)
+{
+    kutil::dwConv<NeonF32Lanes, NeonI32Lanes>(c);
 }
 
 } // namespace
@@ -496,7 +515,6 @@ registerSimdNeonKernels()
 {
     PartitionSpec rows{part::outDim0, 8};
     PartitionSpec images{part::outDim0, 1};
-    PartitionSpec imageChannels{part::outDim01, 1};
     for (OpKind op : {OpKind::MatMul, OpKind::MatMulBiasAct})
         registerKernel(op, "neon", matmulNeonK, rows,
                        kutil::matmulWorkspace);
@@ -519,8 +537,7 @@ registerSimdNeonKernels()
                    rows, kutil::qgemmWorkspace);
     registerKernel(OpKind::QuantConv2d, "neon", qconvNeonK,
                    images, kutil::qconvColWorkspace);
-    registerKernel(OpKind::QuantDwConv2d, "neon", qdwConvNeonK,
-                   imageChannels);
+    kutil::registerDwConvKernels("neon", dwConvNeonK);
 }
 
 } // namespace detail

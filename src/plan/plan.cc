@@ -916,10 +916,12 @@ deserializeImpl(const std::string &bytes)
     // Kernel availability: plans bind by registry name, so reject a
     // plan that needs kernels this build does not have — distinctly,
     // instead of failing deep inside the executor.
+    int step = 0;
     for (int id : pd.artifact.order) {
         const Node &n = pd.graph.node(id);
         if (isSourceOp(n.op))
             continue;
+        int si = step++;
         const std::string &v = pd.artifact.variants[id];
         if (!hasKernelVariant(n.op, v) && !hasKernelVariant(n.op, ""))
             throw PlanUnknownKernelError(
@@ -941,6 +943,24 @@ deserializeImpl(const std::string &bytes)
                 std::string("plan: kernel '") + opName(n.op) + "/" + v +
                 "' needs more workspace than the plan reserves; "
                 "recompile the plan");
+        // The executor binds the shard count its kernel's partition
+        // gives; a plan recording another (its kernel's partition
+        // changed since it was written) must be recompiled.
+        if (si < static_cast<int>(pd.artifact.shardsPerStep.size())) {
+            int want = stepShards(
+                pd.graph, n,
+                lookupKernelInfo(n.op, scalarVariantOf(v)).part,
+                pd.artifact.numThreads);
+            int have = pd.artifact.shardsPerStep[si];
+            if (want != have)
+                throw PlanLaunchError(
+                    std::string("plan: kernel '") + opName(n.op) + "/" +
+                    v + "' splits into " + std::to_string(want) +
+                    " shards at " +
+                    std::to_string(pd.artifact.numThreads) +
+                    " threads, the plan records " +
+                    std::to_string(have) + "; recompile the plan");
+        }
     }
 
     return pd;

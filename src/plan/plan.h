@@ -118,6 +118,15 @@ class PlanUnknownKernelError : public PlanError
     using PlanError::PlanError;
 };
 
+/** The plan's per-step shard counts no longer match the partitioning
+ *  of the kernels this build binds (a kernel now splits its work
+ *  differently than when the plan was written); recompile the plan. */
+class PlanLaunchError : public PlanError
+{
+  public:
+    using PlanError::PlanError;
+};
+
 /** Structurally invalid payload (bad enum, dangling id, wrong count)
  *  that slipped past the checksums — i.e. a writer bug, not bit rot. */
 class PlanFormatError : public PlanError

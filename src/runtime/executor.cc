@@ -209,18 +209,7 @@ Executor::tierSwapFitsPlan(int id, int si,
     // candidate (extents are compared by VALUE — tier kernels
     // register their own extent functions, so pointer identity says
     // nothing) and require the artifact's compile-time shard count.
-    KernelCtx probe;
-    probe.node = &n;
-    probe.outShape = &n.shape;
-    for (int in : n.inputs)
-        probe.inShapes.push_back(&g_.node(in).shape);
-    int shards = 1;
-    if (pool_ && info.part.splittable()) {
-        std::vector<int64_t> bounds = splitRange(
-            info.part.extent(probe), info.part.minGrain, numThreads_);
-        if (bounds.size() > 2)
-            shards = static_cast<int>(bounds.size()) - 1;
-    }
+    int shards = stepShards(g_, n, info.part, pool_ ? numThreads_ : 1);
     if (shards != shardsPerStep_[si])
         return false;
     if (wsp && shards > wsp->shards)

@@ -296,6 +296,25 @@ planMemory(const Graph &g, const std::vector<int> &order,
     return plan;
 }
 
+int
+stepShards(const Graph &g, const Node &n, const PartitionSpec &part,
+           int numThreads)
+{
+    if (numThreads <= 1 || !part.splittable())
+        return 1;
+    // Dry context: shapes and attrs only. PartitionSpec extents are
+    // required to depend on nothing else, so the launch shape computed
+    // here is EXACTLY the one the executor binds.
+    KernelCtx ctx;
+    ctx.node = &n;
+    for (int in : n.inputs)
+        ctx.inShapes.push_back(&g.node(in).shape);
+    ctx.outShape = &n.shape;
+    std::vector<int64_t> bounds =
+        splitRange(part.extent(ctx), part.minGrain, numThreads);
+    return std::max<int>(1, static_cast<int>(bounds.size()) - 1);
+}
+
 LaunchSummary
 planLaunches(const Graph &g, const std::vector<int> &order,
              const std::vector<std::string> &variants, int numThreads)
@@ -310,23 +329,7 @@ planLaunches(const Graph &g, const std::vector<int> &order,
         std::string variant =
             id < static_cast<int>(variants.size()) ? variants[id] : "";
         KernelInfo info = lookupKernelInfo(n.op, variant);
-
-        // Dry context: shapes and attrs only. PartitionSpec extents
-        // are required to depend on nothing else, so the launch shape
-        // computed here is EXACTLY the one the executor binds.
-        KernelCtx ctx;
-        ctx.node = &n;
-        for (int in : n.inputs)
-            ctx.inShapes.push_back(&g.node(in).shape);
-        ctx.outShape = &n.shape;
-
-        int shards = 1;
-        if (numThreads > 1 && info.part.splittable()) {
-            std::vector<int64_t> bounds = splitRange(
-                info.part.extent(ctx), info.part.minGrain, numThreads);
-            shards = std::max<int>(
-                1, static_cast<int>(bounds.size()) - 1);
-        }
+        int shards = stepShards(g, n, info.part, numThreads);
         if (shards > 1)
             ++out.shardedSteps;
         out.shardsPerStep.push_back(shards);

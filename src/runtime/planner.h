@@ -24,6 +24,7 @@
 
 #include "core/dtype.h"
 #include "ir/graph.h"
+#include "kernels/kernel.h"
 
 namespace pe {
 
@@ -163,6 +164,15 @@ struct LaunchSummary {
      *  instead of silently skewing the report. */
     std::vector<int> shardsPerStep;
 };
+
+/**
+ * Shard count of one step at @p numThreads: its kernel's partition
+ * extent (from static shapes) split by splitRange(), 1 when the kernel
+ * is not splittable or the program runs on one thread. planLaunches,
+ * the executor's bind and the plan loader all count shards with it.
+ */
+int stepShards(const Graph &g, const Node &n, const PartitionSpec &part,
+               int numThreads);
 
 /**
  * Evaluate every step's partition extent and workspace declaration

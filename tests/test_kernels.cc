@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
 #include "core/tensor.h"
 #include "frontend/builder.h"
 #include "kernels/kernel.h"
@@ -329,6 +332,122 @@ TEST(OptimApplyKernels, SgdSubRangeOffset)
         EXPECT_FLOAT_EQ(tp[i], 0.0f);
     for (int i = 4; i < 8; ++i)
         EXPECT_FLOAT_EQ(tp[i], 1.0f);
+}
+
+TEST(ElementwiseKernels, ReluGradEqualsSelectLoopOnSpecialValues)
+{
+    // Every pairing of special values in x and dy: the kernel loads dy
+    // whatever x's sign and selects, and must match the branchy loop
+    // dx = x > 0 ? dy : 0 bit for bit (NaN payloads and -0 included).
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const std::vector<float> vals = {nan, -nan, 0.0f, -0.0f, inf, -inf,
+                                     1.5f, -2.25f, 1e-40f, -1e-40f};
+    int64_t n = static_cast<int64_t>(vals.size() * vals.size());
+    Graph g;
+    int x = g.input({n}, "x");
+    int dy = g.input({n}, "dy");
+    int node = g.add(OpKind::ReluGrad, {x, dy}, {});
+    Tensor tx({n}), tdy({n});
+    for (size_t i = 0; i < vals.size(); ++i)
+        for (size_t j = 0; j < vals.size(); ++j) {
+            tx[i * vals.size() + j] = vals[i];
+            tdy[i * vals.size() + j] = vals[j];
+        }
+    Tensor got = runKernel(g, node, {tx, tdy}, "");
+    for (int64_t i = 0; i < n; ++i) {
+        float want = tx[i] > 0 ? tdy[i] : 0.0f;
+        EXPECT_EQ(std::memcmp(&got[i], &want, sizeof(float)), 0)
+            << "x " << tx[i] << " dy " << tdy[i];
+    }
+}
+
+/** The reduction's earlier walk: per output slot, an odometer over
+ *  every reduced dim, innermost fastest, one element at a time. */
+Tensor
+odometerReduce(const Tensor &x, const std::vector<int64_t> &axes,
+               bool mean, const Shape &outShape)
+{
+    const Shape &xs = x.shape();
+    std::vector<bool> reduced(xs.size(), false);
+    int64_t count = 1;
+    for (int64_t a : axes) {
+        reduced[a] = true;
+        count *= xs[a];
+    }
+    std::vector<int64_t> strides = rowMajorStrides(xs);
+    std::vector<int64_t> kext, kstr, rext, rstr;
+    for (size_t d = 0; d < xs.size(); ++d) {
+        (reduced[d] ? rext : kext).push_back(xs[d]);
+        (reduced[d] ? rstr : kstr).push_back(strides[d]);
+    }
+    std::vector<int64_t> ostr(kext.size(), 1);
+    for (size_t d = kext.size(); d-- > 1;)
+        ostr[d - 1] = ostr[d] * kext[d];
+    Tensor out(outShape);
+    for (int64_t oi = 0; oi < out.size(); ++oi) {
+        int64_t rem = oi, base = 0;
+        for (size_t d = 0; d < kext.size(); ++d) {
+            base += rem / ostr[d] * kstr[d];
+            rem %= ostr[d];
+        }
+        std::vector<int64_t> coord(rext.size(), 0);
+        float acc = 0;
+        int64_t off = 0;
+        for (;;) {
+            acc += x[base + off];
+            size_t d = rext.size();
+            while (d-- > 0) {
+                off += rstr[d];
+                if (++coord[d] < rext[d])
+                    break;
+                off -= coord[d] * rstr[d];
+                coord[d] = 0;
+            }
+            if (d == static_cast<size_t>(-1))
+                break;
+        }
+        out[oi] = mean ? acc * (1.0f / static_cast<float>(count)) : acc;
+    }
+    return out;
+}
+
+TEST(ReduceKernels, ContiguousRunEqualsOdometerWalk)
+{
+    // The innermost reduced dims are walked as one contiguous run (the
+    // bias gradient over NCHW axes {0, 2, 3} among them); every axis
+    // set must still sum the same elements in the same order.
+    struct Case {
+        Shape x;
+        std::vector<int64_t> axes;
+    };
+    const std::vector<Case> cases = {
+        {{8, 288, 2, 2}, {0, 2, 3}}, {{3, 5, 4, 6}, {0, 2, 3}},
+        {{3, 5, 4, 6}, {3}},         {{3, 5, 4, 6}, {2, 3}},
+        {{3, 5, 4, 6}, {1, 3}},      {{3, 5, 4, 6}, {0}},
+        {{3, 5, 4, 6}, {0, 1}},      {{3, 5, 4, 6}, {0, 1, 2, 3}},
+        {{7, 15}, {1}},              {{7, 15}, {0}},
+        {{4, 9, 5}, {0, 2}},         {{4, 9, 5}, {1}}};
+    Rng rng(31);
+    for (const Case &cs : cases) {
+        Graph g;
+        int x = g.input(cs.x, "x");
+        Tensor tx = Tensor::randn(cs.x, rng);
+        for (OpKind op : {OpKind::ReduceSum, OpKind::ReduceMean}) {
+            Attrs a;
+            a.set("axes", cs.axes);
+            int node = g.add(op, {x}, std::move(a));
+            Tensor want = odometerReduce(tx, cs.axes,
+                                         op == OpKind::ReduceMean,
+                                         g.node(node).shape);
+            Tensor got = runKernel(g, node, {tx}, "");
+            ASSERT_EQ(got.size(), want.size());
+            EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                  sizeof(float) * got.size()),
+                      0)
+                << opName(op) << " of " << shapeToString(cs.x);
+        }
+    }
 }
 
 } // namespace

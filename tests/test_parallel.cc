@@ -314,8 +314,9 @@ TEST(KernelPartition, Conv)
 {
     expectShardInvariant(
         {OpKind::Conv2d, {{2, 3, 8, 8}, {4, 3, 3, 3}}, convAttrs(1, 1)});
-    expectShardInvariant(
-        {OpKind::DwConv2d, {{2, 4, 8, 8}, {4, 1, 3, 3}}, convAttrs(1, 1)});
+    expectShardInvariant({OpKind::DwConv2d,
+                          {{2, 12, 8, 8}, {12, 1, 3, 3}},
+                          convAttrs(1, 1)});
 
     // Both conv backward ops run the im2col GEMM, at the host tier too
     // (shards: images for dx, output channels for dW).
@@ -426,13 +427,44 @@ TEST(KernelPartition, FusedKernels)
     Attrs db = convAttrs(1, 1);
     db.set("act", kActRelu);
     expectShardInvariant({OpKind::DwConvBiasAct,
-                          {{2, 4, 9, 9}, {4, 1, 3, 3}, {4, 1, 1}},
+                          {{2, 12, 9, 9}, {12, 1, 3, 3}, {12, 1, 1}},
                           db},
                          hostTier());
     expectShardInvariant({OpKind::DwConv2d,
-                          {{2, 4, 9, 9}, {4, 1, 3, 3}},
+                          {{2, 12, 9, 9}, {12, 1, 3, 3}},
                           convAttrs(1, 1)},
                          hostTier());
+}
+
+TEST(KernelPartition, Depthwise)
+{
+    // Every depthwise op shards over 8-channel blocks (forward and input
+    // backward: (block, image) pairs), at every tier and 2 to 4 threads.
+    for (const std::string &v : {std::string(""), hostTier()}) {
+        for (int nt = 2; nt <= 4; ++nt) {
+            SCOPED_TRACE("variant '" + v + "', threads " +
+                         std::to_string(nt));
+            Attrs f = convAttrs(2, 2);
+            f.set("act", kActRelu);
+            expectShardInvariant({OpKind::DwConvBiasAct,
+                                  {{8, 36, 8, 8}, {36, 1, 5, 5}, {36, 1, 1}},
+                                  std::move(f)},
+                                 v, nt);
+            Attrs bi = convAttrs(1, 3);
+            bi.set("xshape", std::vector<int64_t>{8, 60, 4, 4});
+            expectShardInvariant({OpKind::DwConv2dBwdInput,
+                                  {{60, 1, 7, 7}, {8, 60, 4, 4}},
+                                  std::move(bi)},
+                                 v, nt);
+            Attrs bw = convAttrs(1, 2);
+            bw.set("wshape", std::vector<int64_t>{60, 1, 5, 5});
+            bw.set("limitCo", static_cast<int64_t>(30));
+            expectShardInvariant({OpKind::DwConv2dBwdWeight,
+                                  {{8, 60, 4, 4}, {8, 60, 4, 4}},
+                                  std::move(bw)},
+                                 v, nt);
+        }
+    }
 }
 
 // ---- Fallback visibility ---------------------------------------------

@@ -510,6 +510,54 @@ TEST(PlanCompat, GemmPanelMissingFromPlanIsATypedError)
     EXPECT_THROW(loadPlanFromBytes(blob), PlanUnknownKernelError);
 }
 
+TEST(PlanCompat, StaleShardCountIsATypedErrorAtLoad)
+{
+    // The depthwise ops once split over (image, channel) pairs; they
+    // now split over 8-channel blocks. A numThreads=4 plan written
+    // before that records 4 shards for a one-image, 8-channel
+    // DwConvBiasAct that now runs as one block, so its load fails
+    // typed, up front — not at its first run.
+    Graph g;
+    int x = g.input({1, 8, 8, 8}, "x");
+    int w = g.input({8, 1, 3, 3}, "w");
+    int b = g.input({8, 1, 1}, "b");
+    Attrs a;
+    a.set("stride", static_cast<int64_t>(1));
+    a.set("pad", static_cast<int64_t>(1));
+    a.set("act", static_cast<int64_t>(kActRelu));
+    int dw = g.add(OpKind::DwConvBiasAct, {x, w, b}, std::move(a));
+    g.markOutput(dw);
+    auto store = std::make_shared<ParamStore>();
+    Feeds feeds;
+    Rng rng(7);
+    for (int id : {x, w, b})
+        feeds[g.node(id).name] = Tensor::randn(g.node(id).shape, rng);
+    CompileOptions opt;
+    opt.numThreads = 4;
+    auto prog = compileOwned(g, {dw}, opt, store);
+    ProgramArtifact art = prog->executor().exportArtifact();
+    const Graph &pg = prog->graph();
+    int si = 0, step = -1;
+    for (int id : art.order) {
+        if (isSourceOp(pg.node(id).op))
+            continue;
+        if (pg.node(id).op == OpKind::DwConvBiasAct)
+            step = si;
+        ++si;
+    }
+    ASSERT_GE(step, 0) << "the program lost its DwConvBiasAct step";
+    ASSERT_EQ(art.shardsPerStep[step], 1);
+
+    // The current plan loads and runs like the compiled program.
+    auto fresh = loadPlanFromBytes(
+        serializePlan(pg, art, prog->report(), *store));
+    EXPECT_TRUE(bitEqual(fresh->run(feeds)[0], prog->run(feeds)[0]));
+
+    art.shardsPerStep[step] = 4;
+    std::string stale = serializePlan(pg, art, prog->report(), *store);
+    EXPECT_THROW(loadPlanFromBytes(stale), PlanLaunchError);
+}
+
 TEST_F(PlanErrorsTest, CraftedPlanHardening)
 {
     // Checksums only catch ACCIDENTAL corruption — a crafted file

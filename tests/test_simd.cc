@@ -37,6 +37,7 @@
 #include "frontend/builder.h"
 #include "frontend/models.h"
 #include "hw/cpu_features.h"
+#include "kernels/dwconv.h"
 #include "kernels/kernel.h"
 #include "kernels/kernel_util.h"
 #include "plan/plan.h"
@@ -786,83 +787,222 @@ TEST(SimdParity, Fp32ConvFamilyWithin1e5Relative)
     }
 }
 
-// ---- 2c. depthwise forward ---------------------------------------------
+// ---- 2c. the depthwise driver -----------------------------------------
 //
-// DwConv2d and DwConvBiasAct run one kernel per tier. The references
-// below are the two scalar loops that kernel replaced, kept verbatim:
-// the scalar kernel must reproduce them bit for bit, and the tier must
-// stay within 1e-5 relative of the scalar kernel.
+// DwConv2d, DwConvBiasAct, DwConv2dBwdInput, DwConv2dBwdWeight and
+// QuantDwConv2d run one driver per tier. The references below are the
+// scalar loops that driver replaced, kept verbatim: the scalar tier
+// must equal them value for value on finite inputs, the fp32 tier stay
+// within 1e-5 relative of scalar, the int8 tiers agree bit for bit, and
+// every result is identical at 1 to 4 shards.
 
 struct DwCase {
-    int64_t n, ch, hw, k, stride, pad;
+    int64_t n, ch, h, w, k, stride, pad;
 
     std::string
     name() const
     {
         return "dw n" + std::to_string(n) + " ch" + std::to_string(ch) +
-               " hw" + std::to_string(hw) + " k" + std::to_string(k) +
-               " s" + std::to_string(stride) + " p" + std::to_string(pad);
+               " " + std::to_string(h) + "x" + std::to_string(w) + " k" +
+               std::to_string(k) + " s" + std::to_string(stride) + " p" +
+               std::to_string(pad);
     }
-    int64_t out() const { return (hw + 2 * pad - k) / stride + 1; }
+    int64_t ho() const { return (h + 2 * pad - k) / stride + 1; }
+    int64_t wo() const { return (w + 2 * pad - k) / stride + 1; }
 };
 
-/** Widths below, at and past one 8-lane vector; borders on every
- *  side; stride 2 (gathered taps); a 1x1 plane. */
-const std::vector<DwCase> kDwCases = {
-    {2, 3, 16, 3, 1, 1}, {1, 4, 9, 5, 2, 2}, {2, 5, 7, 7, 1, 3},
-    {1, 2, 13, 3, 2, 0}, {1, 3, 4, 5, 1, 2}, {1, 2, 1, 3, 1, 1},
-    {2, 6, 11, 3, 1, 0},
-};
+/** The grid: k 3/5/7 x stride 1/2 x planes 1x1, 2x2, 4x4, 16x16 x
+ *  channels 12/36/60 (partial 8-channel blocks) x batch 1/8, pad k/2;
+ *  planes larger than one stack-tile band (24x70 bands whole rows,
+ *  5x600 bands one row's columns); a 41x41 kernel whose taps alone
+ *  outgrow the stack tile; and the edge cases of the loops' earlier
+ *  sweep (pad 0, a 1x1 plane, outputs that see only padding). */
+std::vector<DwCase>
+dwCases()
+{
+    std::vector<DwCase> cases;
+    for (int64_t k : {3, 5, 7})
+        for (int64_t s : {1, 2}) {
+            for (int64_t hw : {1, 2, 4, 16})
+                for (int64_t ch : {12, 36, 60})
+                    for (int64_t n : {1, 8})
+                        cases.push_back({n, ch, hw, hw, k, s, k / 2});
+            cases.push_back({8, 12, 24, 70, k, s, k / 2});
+            cases.push_back({1, 12, 5, 600, k, s, k / 2});
+        }
+    for (DwCase c : std::vector<DwCase>{{2, 3, 16, 16, 3, 1, 1},
+                                        {1, 4, 9, 9, 5, 2, 2},
+                                        {2, 5, 7, 7, 7, 1, 3},
+                                        {1, 2, 13, 13, 3, 2, 0},
+                                        {2, 6, 11, 11, 3, 1, 0},
+                                        {1, 12, 2, 2, 3, 1, 3},
+                                        {1, 12, 40, 40, 41, 1, 20}})
+        cases.push_back(c);
+    return cases;
+}
 
-/** The replaced depthwise loops: taps in (kh, kw) order from the bias
+/** The replaced forward loops: taps in (kh, kw) order from the bias
  *  (DwConvBiasAct) or from zero (DwConv2d, @p bias null), padded taps
  *  skipped, then the activation (DwConvBiasAct only). */
 Tensor
 directDwConv(const DwCase &cs, const Tensor &x, const Tensor &w,
              const float *bias, int64_t act)
 {
-    int64_t o = cs.out();
-    Tensor y({cs.n, cs.ch, o, o});
+    int64_t ho = cs.ho(), wo = cs.wo(), k = cs.k;
+    Tensor y({cs.n, cs.ch, ho, wo});
     for (int64_t n = 0; n < cs.n; ++n)
         for (int64_t c = 0; c < cs.ch; ++c) {
-            const float *xp = x.data() + (n * cs.ch + c) * cs.hw * cs.hw;
-            const float *wp = w.data() + c * cs.k * cs.k;
-            float *op = y.data() + (n * cs.ch + c) * o * o;
-            for (int64_t i = 0; i < o; ++i)
-                for (int64_t j = 0; j < o; ++j) {
+            const float *xp = x.data() + (n * cs.ch + c) * cs.h * cs.w;
+            const float *wp = w.data() + c * k * k;
+            float *op = y.data() + (n * cs.ch + c) * ho * wo;
+            for (int64_t i = 0; i < ho; ++i)
+                for (int64_t j = 0; j < wo; ++j) {
                     float acc = bias ? bias[c] : 0.0f;
-                    for (int64_t a = 0; a < cs.k; ++a) {
+                    for (int64_t a = 0; a < k; ++a) {
                         int64_t ih = i * cs.stride - cs.pad + a;
-                        if (ih < 0 || ih >= cs.hw)
+                        if (ih < 0 || ih >= cs.h)
                             continue;
-                        for (int64_t b = 0; b < cs.k; ++b) {
+                        for (int64_t b = 0; b < k; ++b) {
                             int64_t iw = j * cs.stride - cs.pad + b;
-                            if (iw < 0 || iw >= cs.hw)
+                            if (iw < 0 || iw >= cs.w)
                                 continue;
-                            acc += xp[ih * cs.hw + iw] * wp[a * cs.k + b];
+                            acc += xp[ih * cs.w + iw] * wp[a * k + b];
                         }
                     }
-                    op[i * o + j] = bias ? kutil::actOf(act, acc) : acc;
+                    op[i * wo + j] = bias ? kutil::actOf(act, acc) : acc;
                 }
         }
     return y;
 }
 
-/** One depthwise input, weight and bias per case. */
+/** The replaced input-backward loop: each dy pixel, in (i, j) order,
+ *  scatters dy * w onto the dx taps it read. */
+Tensor
+directDwBwdInput(const DwCase &cs, const Tensor &w, const Tensor &dy)
+{
+    int64_t ho = cs.ho(), wo = cs.wo(), k = cs.k;
+    Tensor dx = Tensor::zeros({cs.n, cs.ch, cs.h, cs.w});
+    for (int64_t n = 0; n < cs.n; ++n)
+        for (int64_t c = 0; c < cs.ch; ++c) {
+            const float *wp = w.data() + c * k * k;
+            const float *gp = dy.data() + (n * cs.ch + c) * ho * wo;
+            float *dp = dx.data() + (n * cs.ch + c) * cs.h * cs.w;
+            for (int64_t i = 0; i < ho; ++i)
+                for (int64_t j = 0; j < wo; ++j) {
+                    float g = gp[i * wo + j];
+                    if (g == 0.0f)
+                        continue;
+                    for (int64_t a = 0; a < k; ++a) {
+                        int64_t ih = i * cs.stride - cs.pad + a;
+                        if (ih < 0 || ih >= cs.h)
+                            continue;
+                        for (int64_t b = 0; b < k; ++b) {
+                            int64_t iw = j * cs.stride - cs.pad + b;
+                            if (iw < 0 || iw >= cs.w)
+                                continue;
+                            dp[ih * cs.w + iw] += g * wp[a * k + b];
+                        }
+                    }
+                }
+        }
+    return dx;
+}
+
+/** The replaced weight-backward loop over the first @p limit channels:
+ *  each tap sums dy * x in (n, i, j) order. */
+Tensor
+directDwBwdWeight(const DwCase &cs, const Tensor &x, const Tensor &dy,
+                  int64_t limit)
+{
+    int64_t ho = cs.ho(), wo = cs.wo(), k = cs.k;
+    Tensor dw = Tensor::zeros({limit, 1, k, k});
+    for (int64_t c = 0; c < limit; ++c) {
+        float *dwp = dw.data() + c * k * k;
+        for (int64_t n = 0; n < cs.n; ++n) {
+            const float *xp = x.data() + (n * cs.ch + c) * cs.h * cs.w;
+            const float *gp = dy.data() + (n * cs.ch + c) * ho * wo;
+            for (int64_t i = 0; i < ho; ++i)
+                for (int64_t j = 0; j < wo; ++j) {
+                    float g = gp[i * wo + j];
+                    if (g == 0.0f)
+                        continue;
+                    for (int64_t a = 0; a < k; ++a) {
+                        int64_t ih = i * cs.stride - cs.pad + a;
+                        if (ih < 0 || ih >= cs.h)
+                            continue;
+                        for (int64_t b = 0; b < k; ++b) {
+                            int64_t iw = j * cs.stride - cs.pad + b;
+                            if (iw < 0 || iw >= cs.w)
+                                continue;
+                            dwp[a * k + b] += g * xp[ih * cs.w + iw];
+                        }
+                    }
+                }
+        }
+    }
+    return dw;
+}
+
+/** The replaced int8 loop: (x - zp) * w summed in int32 over the
+ *  in-bounds taps in (kh, kw) order, one requantization. */
+void
+directQuantDw(const DwCase &cs, const int8_t *x, const int8_t *w,
+              const kutil::Requant &rq, int8_t *y)
+{
+    int64_t ho = cs.ho(), wo = cs.wo(), k = cs.k;
+    for (int64_t n = 0; n < cs.n; ++n)
+        for (int64_t c = 0; c < cs.ch; ++c) {
+            const int8_t *xp = x + (n * cs.ch + c) * cs.h * cs.w;
+            const int8_t *wp = w + c * k * k;
+            int8_t *op = y + (n * cs.ch + c) * ho * wo;
+            for (int64_t i = 0; i < ho; ++i)
+                for (int64_t j = 0; j < wo; ++j) {
+                    int32_t acc = 0;
+                    for (int64_t a = 0; a < k; ++a) {
+                        int64_t ih = i * cs.stride - cs.pad + a;
+                        if (ih < 0 || ih >= cs.h)
+                            continue;
+                        for (int64_t b = 0; b < k; ++b) {
+                            int64_t iw = j * cs.stride - cs.pad + b;
+                            if (iw < 0 || iw >= cs.w)
+                                continue;
+                            acc += (static_cast<int32_t>(xp[ih * cs.w + iw]) -
+                                    rq.xZp) *
+                                   static_cast<int32_t>(wp[a * k + b]);
+                        }
+                    }
+                    op[i * wo + j] = rq.emit(acc, c);
+                }
+        }
+}
+
+/** One case's operands and one node per depthwise op. */
 struct DwGraph {
     Graph g;
-    int x, w, b;
-    Tensor tx, tw, tb;
+    int x, w, b, dy, scales;
+    Tensor tx, tw, tb, tdy;
+    // int8 operands: codes of x and w, per-channel weight scales.
+    I8Buf qx, qw;
+    std::vector<float> wscales;
+    QuantParams xp, yp;
 
     explicit DwGraph(const DwCase &cs, uint64_t seed = 105)
+        : qx(cs.n * cs.ch * cs.h * cs.w), qw(cs.ch * cs.k * cs.k)
     {
         Rng rng(seed);
-        x = g.input({cs.n, cs.ch, cs.hw, cs.hw}, "x");
+        x = g.input({cs.n, cs.ch, cs.h, cs.w}, "x");
         w = g.param({cs.ch, 1, cs.k, cs.k}, "w", true);
         b = g.param({cs.ch, 1, 1}, "b", true);
+        dy = g.input({cs.n, cs.ch, cs.ho(), cs.wo()}, "dy");
+        scales = g.input({cs.ch}, "s");
         tx = Tensor::randn(g.node(x).shape, rng);
         tw = Tensor::randn(g.node(w).shape, rng, 0.3f);
         tb = Tensor::randn(g.node(b).shape, rng);
+        tdy = Tensor::randn(g.node(dy).shape, rng);
+        xp = chooseQuantParams(-2.5f, 2.5f);
+        yp = chooseQuantParams(-4.0f, 4.0f);
+        quantizeInto(tx, xp.scale, xp.zeroPoint, qx);
+        wscales = quantizeWeight(tw, 0, qw);
     }
 
     Attrs
@@ -887,52 +1027,252 @@ struct DwGraph {
         a.set("act", act);
         return g.add(OpKind::DwConvBiasAct, {x, w, b}, std::move(a));
     }
+
+    int
+    bwdInput(const DwCase &cs)
+    {
+        Attrs a = attrs(cs);
+        a.set("xshape", g.node(x).shape);
+        return g.add(OpKind::DwConv2dBwdInput, {w, dy}, std::move(a));
+    }
+
+    int
+    bwdWeight(const DwCase &cs, int64_t limit)
+    {
+        Attrs a = attrs(cs);
+        a.set("wshape", g.node(w).shape);
+        if (limit < cs.ch)
+            a.set("limitCo", limit);
+        return g.add(OpKind::DwConv2dBwdWeight, {x, dy}, std::move(a));
+    }
+
+    /** QuantDwConv2d with bias, per-channel scales and @p act. */
+    int
+    quant(const DwCase &cs, int64_t act)
+    {
+        Attrs a = attrs(cs);
+        a.set("act", act);
+        a.set("hasBias", static_cast<int64_t>(1));
+        a.set("perChannel", static_cast<int64_t>(1));
+        a.set("xScale", static_cast<double>(xp.scale));
+        a.set("xZp", static_cast<int64_t>(xp.zeroPoint));
+        a.set("yScale", static_cast<double>(yp.scale));
+        a.set("yZp", static_cast<int64_t>(yp.zeroPoint));
+        return g.add(OpKind::QuantDwConv2d, {x, w, b, scales}, std::move(a));
+    }
+
+    /** The fp32 operands of @p node, in input order. */
+    std::vector<const float *>
+    operands(int node) const
+    {
+        std::vector<const float *> in;
+        for (int i : g.node(node).inputs)
+            in.push_back(i == x    ? tx.data()
+                         : i == w  ? tw.data()
+                         : i == b  ? tb.data()
+                         : i == dy ? tdy.data()
+                                   : nullptr);
+        return in;
+    }
+
+    /** Run @p node at @p variant into @p out, split into @p shards
+     *  consecutive partition ranges (0: one unsharded call). */
+    void
+    run(int node, const std::vector<const float *> &in, float *out,
+        const std::string &variant, int shards = 0) const
+    {
+        const Node &n = g.node(node);
+        KernelCtx c;
+        c.node = &n;
+        c.in = in;
+        for (int i : n.inputs)
+            c.inShapes.push_back(&g.node(i).shape);
+        c.out = out;
+        c.outShape = &n.shape;
+        KernelInfo info = lookupKernelInfo(n.op, variant);
+        ASSERT_FALSE(info.fellBack) << opName(n.op) << "/" << variant;
+        if (shards == 0) {
+            info.fn(c);
+            return;
+        }
+        int64_t extent = info.part.extent(c);
+        for (int s = 0; s < shards; ++s) {
+            KernelCtx shard = c;
+            shard.begin = extent * s / shards;
+            shard.end = extent * (s + 1) / shards;
+            if (shard.end > shard.begin)
+                info.fn(shard);
+        }
+    }
+
+    Tensor
+    runF32(int node, const std::string &variant, int shards = 0) const
+    {
+        Tensor out(g.node(node).shape);
+        run(node, operands(node), out.data(), variant, shards);
+        return out;
+    }
+
+    std::vector<int8_t>
+    runI8(int node, const std::string &variant, int shards = 0) const
+    {
+        const Shape &s = g.node(node).shape;
+        I8Buf out(numel(s));
+        run(node, {qx.asF32(), qw.asF32(), tb.data(), wscales.data()},
+            out.asF32Mut(), variant, shards);
+        const int8_t *p = reinterpret_cast<const int8_t *>(out.asF32());
+        return std::vector<int8_t>(p, p + numel(s));
+    }
+
+    kutil::Requant
+    requant(int node) const
+    {
+        KernelCtx c;
+        c.node = &g.node(node);
+        c.in = {qx.asF32(), qw.asF32(), tb.data(), wscales.data()};
+        return kutil::requantOf(c);
+    }
 };
 
 TEST(DwConv, ScalarEqualsDirectLoops)
 {
-    for (const DwCase &cs : kDwCases) {
+    for (const DwCase &cs : dwCases()) {
         SCOPED_TRACE(cs.name());
         DwGraph dg(cs);
-        EXPECT_EQ(bitMismatches(
-                      runKernel(dg.g, dg.plain(cs), {dg.tx, dg.tw}, ""),
-                      directDwConv(cs, dg.tx, dg.tw, nullptr, kActNone)),
+        EXPECT_EQ(valueMismatches(dg.runF32(dg.plain(cs), ""),
+                                  directDwConv(cs, dg.tx, dg.tw, nullptr,
+                                               kActNone)),
                   0)
             << "DwConv2d";
         for (int64_t act : kActs)
-            EXPECT_EQ(bitMismatches(
-                          runKernel(dg.g, dg.fused(cs, act),
-                                    {dg.tx, dg.tw, dg.tb}, ""),
-                          directDwConv(cs, dg.tx, dg.tw, dg.tb.data(),
-                                       act)),
+            EXPECT_EQ(valueMismatches(dg.runF32(dg.fused(cs, act), ""),
+                                      directDwConv(cs, dg.tx, dg.tw,
+                                                   dg.tb.data(), act)),
                       0)
                 << "DwConvBiasAct act " << act;
+        EXPECT_EQ(valueMismatches(dg.runF32(dg.bwdInput(cs), ""),
+                                  directDwBwdInput(cs, dg.tw, dg.tdy)),
+                  0)
+            << "DwConv2dBwdInput";
+        for (int64_t limit : {cs.ch, (cs.ch + 1) / 2})
+            EXPECT_EQ(valueMismatches(
+                          dg.runF32(dg.bwdWeight(cs, limit), ""),
+                          directDwBwdWeight(cs, dg.tx, dg.tdy, limit)),
+                      0)
+                << "DwConv2dBwdWeight limit " << limit;
+        for (int64_t act : {kActNone, kActRelu, kActGelu}) {
+            int node = dg.quant(cs, act);
+            std::vector<int8_t> want(numel(dg.g.node(node).shape));
+            directQuantDw(cs, dg.qx.data(), dg.qw.data(), dg.requant(node),
+                          want.data());
+            EXPECT_EQ(dg.runI8(node, ""), want)
+                << "QuantDwConv2d act " << act;
+        }
     }
 }
 
 TEST(SimdParity, Fp32DwConvBiasActWithin1e5Relative)
 {
+    SKIP_WITHOUT_SIMD();
     std::string tier = hostTier();
-    if (tier.empty() || !hasKernelVariant(OpKind::DwConvBiasAct, tier))
-        GTEST_SKIP() << "no depthwise fp32 tier on this host";
-    for (const DwCase &cs : kDwCases) {
+    for (const DwCase &cs : dwCases()) {
         SCOPED_TRACE(cs.name());
         DwGraph dg(cs);
-        // The bias-less DwConv2d runs the same tier kernel with its
-        // accumulators starting at zero.
-        int plain = dg.plain(cs);
-        EXPECT_LT(maxRelDiff(runKernel(dg.g, plain, {dg.tx, dg.tw}, ""),
-                             runKernel(dg.g, plain, {dg.tx, dg.tw}, tier)),
-                  1e-5f)
-            << "DwConv2d";
-        for (int64_t act : kActs) {
-            int node = dg.fused(cs, act);
-            std::vector<Tensor> in = {dg.tx, dg.tw, dg.tb};
-            EXPECT_LT(maxRelDiff(runKernel(dg.g, node, in, ""),
-                                 runKernel(dg.g, node, in, tier)),
+        std::vector<int> nodes = {dg.plain(cs), dg.bwdInput(cs)};
+        for (int64_t act : kActs)
+            nodes.push_back(dg.fused(cs, act));
+        for (int node : nodes)
+            EXPECT_LT(maxRelDiff(dg.runF32(node, ""), dg.runF32(node, tier)),
                       1e-5f)
+                << opName(dg.g.node(node).op);
+        // The weight gradient sums up to a batch of planes per tap; every
+        // tier rounds it like the scalar lanes, so it is identical.
+        for (int64_t limit : {cs.ch, (cs.ch + 1) / 2}) {
+            int node = dg.bwdWeight(cs, limit);
+            EXPECT_TRUE(sameBits(dg.runF32(node, ""), dg.runF32(node, tier)))
+                << "DwConv2dBwdWeight limit " << limit;
+        }
+    }
+}
+
+TEST(SimdParity, Int8DwConvBitExactAcrossTiers)
+{
+    SKIP_WITHOUT_SIMD();
+    std::string tier = hostTier();
+    for (const DwCase &cs : dwCases()) {
+        SCOPED_TRACE(cs.name());
+        DwGraph dg(cs);
+        for (int64_t act : {kActNone, kActRelu, kActGelu}) {
+            int node = dg.quant(cs, act);
+            EXPECT_EQ(dg.runI8(node, ""), dg.runI8(node, tier))
                 << "act " << act;
         }
+    }
+}
+
+TEST(DwConv, IdenticalAtOneToFourShards)
+{
+    std::vector<std::string> tiers = {""};
+    if (!hostTier().empty())
+        tiers.push_back(hostTier());
+    for (const DwCase &cs : dwCases()) {
+        if (cs.n * cs.ch * cs.h * cs.w > 40000 || cs.k > 7)
+            continue; // banded planes, huge kernel: covered above
+        SCOPED_TRACE(cs.name());
+        DwGraph dg(cs);
+        std::vector<int> nodes = {dg.fused(cs, kActRelu), dg.bwdInput(cs),
+                                  dg.bwdWeight(cs, (cs.ch + 1) / 2)};
+        int quant = dg.quant(cs, kActRelu);
+        for (const std::string &v : tiers) {
+            for (int node : nodes) {
+                Tensor whole = dg.runF32(node, v);
+                for (int shards = 1; shards <= 4; ++shards)
+                    EXPECT_TRUE(sameBits(dg.runF32(node, v, shards), whole))
+                        << opName(dg.g.node(node).op) << "/" << v << " at "
+                        << shards << " shards";
+            }
+            std::vector<int8_t> whole = dg.runI8(quant, v);
+            for (int shards = 1; shards <= 4; ++shards)
+                EXPECT_EQ(dg.runI8(quant, v, shards), whole)
+                    << "QuantDwConv2d/" << v << " at " << shards << " shards";
+        }
+    }
+}
+
+TEST(DwConv, LargePlanesRunInBandsAndSmallOnesInOneTile)
+{
+    // The grid's 24x70 and 5x600 planes exceed one stack tile, so they
+    // really exercise the row-band and column-band traversals, and its
+    // 41x41 kernel the heap-backed tile.
+    auto geom = [](const DwCase &cs, OpKind op) {
+        DwGraph dg(cs);
+        int node = op == OpKind::DwConv2dBwdWeight ? dg.bwdWeight(cs, cs.ch)
+                   : op == OpKind::DwConv2dBwdInput ? dg.bwdInput(cs)
+                                                    : dg.plain(cs);
+        const Node &n = dg.g.node(node);
+        KernelCtx c;
+        c.node = &n;
+        for (int i : n.inputs)
+            c.inShapes.push_back(&dg.g.node(i).shape);
+        c.outShape = &n.shape;
+        return kutil::dwGeomOf(c);
+    };
+    for (OpKind op : {OpKind::DwConv2d, OpKind::DwConv2dBwdInput,
+                      OpKind::DwConv2dBwdWeight}) {
+        SCOPED_TRACE(opName(op));
+        kutil::DwGeom rows = geom({8, 12, 24, 70, 7, 1, 3}, op);
+        EXPECT_LT(rows.bandRows, rows.rows);
+        EXPECT_EQ(rows.bandCols, rows.cols);
+        kutil::DwGeom cols = geom({1, 12, 5, 600, 7, 1, 3}, op);
+        EXPECT_EQ(cols.bandRows, 1);
+        EXPECT_LT(cols.bandCols, cols.cols);
+        kutil::DwGeom small = geom({8, 288, 2, 2, 7, 1, 3}, op);
+        EXPECT_TRUE(small.singleTile());
+        for (const kutil::DwGeom &d : {rows, cols, small})
+            EXPECT_LE(d.tileBytes, kutil::kDwTileBytes);
+        // Only a kernel whose tap rectangle outgrows the tile allocates.
+        kutil::DwGeom huge = geom({1, 12, 40, 40, 41, 1, 20}, op);
+        EXPECT_GT(huge.tileBytes, kutil::kDwTileBytes);
     }
 }
 
